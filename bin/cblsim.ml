@@ -143,7 +143,9 @@ let demo nodes owners pages txns remote theta seed crash_at recover_at trace jso
     | None -> ());
     if trace then begin
       Format.printf "@.-- trace --@.";
-      Repro_sim.Trace.dump Format.std_formatter (Repro_sim.Env.trace (Cluster.env cluster))
+      List.iter
+        (fun e -> Format.printf "%s@." (Repro_obs.Event.render e))
+        (Recorder.events (Repro_sim.Env.obs (Cluster.env cluster)))
     end
   end
 

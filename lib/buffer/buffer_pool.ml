@@ -1,46 +1,42 @@
 open Repro_storage
 module Lsn = Repro_wal.Lsn
 
-type policy = Lru | Clock
-
 type frame = {
   page : Page.t;
   mutable dirty : bool;
   mutable pin_count : int;
   mutable rec_lsn : Lsn.t;
   mutable last_lsn : Lsn.t;
-  mutable last_use : int;
-  mutable referenced : bool;
-  mutable slot : int;
+  mutable older : frame;
+  mutable newer : frame;
 }
 
 type t = {
-  policy : policy;
   capacity : int;
   frames : frame Page_id.Tbl.t;
-  ring : frame option array;
-      (* fixed residence slots; the clock hand sweeps this in place of
-         sorting the candidate list on every eviction *)
-  mutable hand : int;
-  mutable free : int list; (* vacant ring slots *)
-  mutable tick : int;
+  lru : frame;
+      (* sentinel of the circular recency list: [lru.newer] is the least
+         recently used frame, [lru.older] the most recently used *)
   mutable tracer : string -> Page_id.t -> unit;
 }
 
 let no_trace _ _ = ()
+let no_page = Page.create ~id:(Page_id.make ~owner:(-1) ~slot:(-1)) ~psn:0 ~size:0
 
-let create ?(policy = Lru) ~capacity () =
+let create ~capacity () =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity must be positive";
-  {
-    policy;
-    capacity;
-    frames = Page_id.Tbl.create capacity;
-    ring = Array.make capacity None;
-    hand = 0;
-    free = List.init capacity Fun.id;
-    tick = 0;
-    tracer = no_trace;
-  }
+  let rec lru =
+    {
+      page = no_page;
+      dirty = false;
+      pin_count = 0;
+      rec_lsn = Lsn.nil;
+      last_lsn = Lsn.nil;
+      older = lru;
+      newer = lru;
+    }
+  in
+  { capacity; frames = Page_id.Tbl.create capacity; lru; tracer = no_trace }
 
 let set_tracer t f = t.tracer <- f
 
@@ -48,16 +44,25 @@ let capacity t = t.capacity
 let size t = Page_id.Tbl.length t.frames
 let is_full t = size t >= t.capacity
 
-let touch t frame =
-  t.tick <- t.tick + 1;
-  frame.last_use <- t.tick;
-  frame.referenced <- true
+let unlink f =
+  f.older.newer <- f.newer;
+  f.newer.older <- f.older
+
+let push_newest t f =
+  let s = t.lru in
+  f.older <- s.older;
+  f.newer <- s;
+  s.older.newer <- f;
+  s.older <- f
 
 let find t pid =
   match Page_id.Tbl.find_opt t.frames pid with
   | None -> None
   | Some frame ->
-    touch t frame;
+    if t.lru.older != frame then begin
+      unlink frame;
+      push_newest t frame
+    end;
     Some frame
 
 let peek t pid = Page_id.Tbl.find_opt t.frames pid
@@ -68,13 +73,6 @@ let install t page =
   if contains t pid then
     invalid_arg (Format.asprintf "Buffer_pool.install: %a already cached" Page_id.pp pid);
   if is_full t then invalid_arg "Buffer_pool.install: pool full, evict first";
-  let slot =
-    match t.free with
-    | s :: rest ->
-      t.free <- rest;
-      s
-    | [] -> assert false (* size < capacity was just checked *)
-  in
   let frame =
     {
       page;
@@ -82,13 +80,11 @@ let install t page =
       pin_count = 0;
       rec_lsn = Lsn.nil;
       last_lsn = Lsn.nil;
-      last_use = 0;
-      referenced = true;
-      slot;
+      older = t.lru;
+      newer = t.lru;
     }
   in
-  touch t frame;
-  t.ring.(slot) <- Some frame;
+  push_newest t frame;
   Page_id.Tbl.replace t.frames pid frame;
   t.tracer "install" pid;
   frame
@@ -106,53 +102,18 @@ let unpin frame =
   if frame.pin_count <= 0 then invalid_arg "Buffer_pool.unpin: not pinned";
   frame.pin_count <- frame.pin_count - 1
 
-let victims t = Page_id.Tbl.fold (fun _ f acc -> if f.pin_count = 0 then f :: acc else acc) t.frames []
-
+(* Pins are transient (an operation's guard, or a victim parked while
+   the pool makes room), so the walk skips at most a handful. *)
 let choose_victim t =
-  match t.policy with
-  | Lru -> (
-    match victims t with
-    | [] -> None
-    | hd :: _ as candidates ->
-      Some
-        (List.fold_left
-           (fun best f -> if f.last_use < best.last_use then f else best)
-           hd candidates))
-  | Clock ->
-    (* Second-chance hand sweep over the residence ring: skip pinned
-       frames, clear reference bits as the hand passes, stop at the
-       first unpinned unreferenced frame.  Two laps suffice — the first
-       clears every unpinned reference bit, so the second stops at the
-       first unpinned frame; if 2n steps find nothing, every resident
-       frame is pinned and there is no victim.  Amortised O(1) per
-       eviction, versus scanning the whole candidate list. *)
-    let n = t.capacity in
-    let rec sweep steps =
-      if steps >= 2 * n then None
-      else begin
-        let i = t.hand in
-        t.hand <- (t.hand + 1) mod n;
-        match t.ring.(i) with
-        | None -> sweep (steps + 1)
-        | Some f ->
-          if f.pin_count > 0 then sweep (steps + 1)
-          else if f.referenced then begin
-            f.referenced <- false;
-            sweep (steps + 1)
-          end
-          else Some f
-      end
-    in
-    sweep 0
+  let rec walk f = if f == t.lru then None else if f.pin_count = 0 then Some f else walk f.newer in
+  walk t.lru.newer
 
 let remove t pid =
   match Page_id.Tbl.find_opt t.frames pid with
   | None -> ()
   | Some f ->
     t.tracer "evict" pid;
-    t.ring.(f.slot) <- None;
-    t.free <- f.slot :: t.free;
-    f.slot <- -1;
+    unlink f;
     Page_id.Tbl.remove t.frames pid
 let cached_ids t = Page_id.Tbl.fold (fun pid _ acc -> pid :: acc) t.frames []
 let dirty_frames t = Page_id.Tbl.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
@@ -160,6 +121,5 @@ let iter t f = Page_id.Tbl.iter (fun _ frame -> f frame) t.frames
 
 let clear t =
   Page_id.Tbl.reset t.frames;
-  Array.fill t.ring 0 t.capacity None;
-  t.free <- List.init t.capacity Fun.id;
-  t.hand <- 0
+  t.lru.older <- t.lru;
+  t.lru.newer <- t.lru

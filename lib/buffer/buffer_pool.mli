@@ -6,13 +6,11 @@
     The WAL rule is enforced by the node: it must force the log up to a
     dirty frame's [last_lsn] before the frame leaves the pool.
 
-    Two replacement policies are provided.  LRU matches what BeSS used;
-    Clock is the ablation alternative exercised by experiment E9's cache
-    sweeps. *)
+    Replacement is exact LRU, as BeSS used: frames sit on a recency list
+    that [install] and [find] move to the newest end, so picking a
+    victim and touching a frame are both O(1). *)
 
 open Repro_storage
-
-type policy = Lru | Clock
 
 type frame = {
   page : Page.t;
@@ -20,14 +18,13 @@ type frame = {
   mutable pin_count : int;
   mutable rec_lsn : Repro_wal.Lsn.t;  (** first LSN that dirtied this caching period *)
   mutable last_lsn : Repro_wal.Lsn.t;  (** latest update record; WAL force bound *)
-  mutable last_use : int;
-  mutable referenced : bool;  (** Clock's reference bit *)
-  mutable slot : int;  (** residence slot in the clock ring; [-1] once removed *)
+  mutable older : frame;  (** recency-list links, owned by the pool *)
+  mutable newer : frame;
 }
 
 type t
 
-val create : ?policy:policy -> capacity:int -> unit -> t
+val create : capacity:int -> unit -> t
 (** [capacity] in pages; must be positive. *)
 
 val set_tracer : t -> (string -> Page_id.t -> unit) -> unit
@@ -39,17 +36,17 @@ val size : t -> int
 val is_full : t -> bool
 
 val find : t -> Page_id.t -> frame option
-(** Touches the frame for the replacement policy. *)
+(** Marks the frame most recently used. *)
 
 val peek : t -> Page_id.t -> frame option
-(** No policy side effects. *)
+(** Leaves the recency order alone. *)
 
 val contains : t -> Page_id.t -> bool
 
 val install : t -> Page.t -> frame
-(** Adds a clean, unpinned frame.  @raise Invalid_argument if the pool
-    is full (the node must evict first) or the page is already
-    cached. *)
+(** Adds a clean, unpinned frame as the most recently used.
+    @raise Invalid_argument if the pool is full (the node must evict
+    first) or the page is already cached. *)
 
 val mark_dirty : frame -> lsn:Repro_wal.Lsn.t -> unit
 (** Records an update at [lsn]: sets dirty, maintains [rec_lsn] /
@@ -59,10 +56,9 @@ val pin : frame -> unit
 val unpin : frame -> unit
 
 val choose_victim : t -> frame option
-(** An unpinned frame per the policy, or [None] if all are pinned.
-    Clock is an amortised-O(1) second-chance hand sweep over the
-    residence ring (install order, not [last_use] order); LRU scans for
-    the minimal [last_use]. *)
+(** The least recently used unpinned frame, or [None] if all are
+    pinned.  Walks the recency list from the oldest end, skipping only
+    frames pinned at that moment. *)
 
 val remove : t -> Page_id.t -> unit
 val cached_ids : t -> Page_id.t list

@@ -42,13 +42,12 @@ type t = {
 }
 
 let create ?(trace = false) ?trace_capacity ?(seed = 42) ?faults ?(pool_capacity = 64)
-    ?pool_policy ?log_capacity ?scheme ?retain_cached_locks ~nodes config =
+    ?log_capacity ?scheme ?retain_cached_locks ~nodes config =
   if nodes <= 0 then invalid_arg "Cluster.create: need at least one node";
   let env = Env.create ~trace ?trace_capacity ~seed ?faults config in
   let members =
     Array.init nodes (fun id ->
-        Node.create env ~id ~pool_capacity ?pool_policy ?log_capacity ?scheme
-          ?retain_cached_locks ())
+        Node.create env ~id ~pool_capacity ?log_capacity ?scheme ?retain_cached_locks ())
   in
   let resolve id =
     if id < 0 || id >= nodes then invalid_arg (Printf.sprintf "Cluster: no node %d" id);

@@ -24,7 +24,6 @@ val create :
   ?seed:int ->
   ?faults:Repro_fault.Injector.t ->
   ?pool_capacity:int ->
-  ?pool_policy:Repro_buffer.Buffer_pool.policy ->
   ?log_capacity:int ->
   ?scheme:Node_state.scheme ->
   ?retain_cached_locks:bool ->

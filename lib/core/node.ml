@@ -1102,12 +1102,9 @@ let wire_group_commit t ?on_lost ~on_durable () =
       finish_commit t ~txn ~submitted_at)
     ()
 
-let create env ~id ~pool_capacity ?(pool_policy = Buffer_pool.Lru) ?log_capacity
+let create env ~id ~pool_capacity ?log_capacity
     ?(scheme = Local_logging) ?(retain_cached_locks = true) () =
-  let t =
-    Node_state.create env ~id ~pool_capacity ~pool_policy ~log_capacity ~scheme
-      ~retain_cached_locks
-  in
+  let t = Node_state.create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks in
   (* Standalone default: complete commits with no external registry.
      [Cluster.create] re-wires with its durable-commit registry. *)
   wire_group_commit t ~on_durable:(fun ~txn:_ ~submitted_at:_ -> ()) ();

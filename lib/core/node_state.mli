@@ -87,7 +87,6 @@ type t = {
           cluster-wide dependency graph; returns whether the edge is
           new (fresh edges emit the [commit.dep] trace event).  Default
           for standalone nodes: no graph, nothing fresh *)
-  pool_policy : Repro_buffer.Buffer_pool.policy;
   pool_capacity : int;
   scheme : scheme;
   retain_cached_locks : bool;
@@ -101,7 +100,6 @@ val create :
   Repro_sim.Env.t ->
   id:int ->
   pool_capacity:int ->
-  pool_policy:Repro_buffer.Buffer_pool.policy ->
   log_capacity:int option ->
   scheme:scheme ->
   retain_cached_locks:bool ->

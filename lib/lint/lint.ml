@@ -16,7 +16,6 @@ type source = { rel : string; digest : string; ast : ast }
 type ctx = {
   root : string;
   sources : source list;
-  files : string list;
   report :
     ?severity:severity -> rule:string -> file:string -> line:int -> col:int -> string -> unit;
 }
@@ -278,7 +277,7 @@ let run ?allowlist_file ?(clock = fun () -> 0.) ~root ~paths ~rules () =
     else if is_allowlisted allow ~rule ~file ~line then incr allowlisted
     else findings := { rule; severity; file; line; col; msg } :: !findings
   in
-  let ctx = { root; sources; files; report } in
+  let ctx = { root; sources; report } in
   let rule_seconds =
     List.map
       (fun r ->

@@ -36,7 +36,6 @@ type source = { rel : string; digest : string; ast : ast }
 type ctx = {
   root : string;  (** the repo root [run] was pointed at *)
   sources : source list;  (** parsed files, in path order *)
-  files : string list;  (** every discovered file, parsed or not *)
   report :
     ?severity:severity -> rule:string -> file:string -> line:int -> col:int -> string -> unit;
 }

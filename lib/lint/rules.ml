@@ -42,27 +42,6 @@ let iter_exprs_in_expr f expr =
   in
   it.expr it expr
 
-(* The top-level value bindings of a structure, descending into plain
-   sub-modules and functors: the granularity at which "paired in the
-   same enclosing function" is judged. *)
-let top_level_bindings structure =
-  let acc = ref [] in
-  let rec item i =
-    match i.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter (fun vb -> acc := vb :: !acc) vbs
-    | Pstr_module mb -> module_expr mb.pmb_expr
-    | Pstr_recmodule mbs -> List.iter (fun mb -> module_expr mb.pmb_expr) mbs
-    | _ -> ()
-  and module_expr me =
-    match me.pmod_desc with
-    | Pmod_structure s -> List.iter item s
-    | Pmod_functor (_, body) -> module_expr body
-    | Pmod_constraint (inner, _) -> module_expr inner
-    | _ -> ()
-  in
-  List.iter item structure;
-  List.rev !acc
-
 (* Does [p] match every exception?  Returns the bound name for the
    re-raise exemption ([Some None] for [_], [Some (Some v)] for a
    variable or alias). *)
@@ -90,9 +69,6 @@ let reraises name body =
       | _ -> ())
     body;
   !found
-
-let binding_name vb =
-  match vb.pvb_pat.ppat_desc with Ppat_var v -> Some v.Asttypes.txt | _ -> None
 
 let ends_with suffix s = String.ends_with ~suffix s
 
@@ -382,71 +358,7 @@ let crashpoint_registry =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 5: event-codec-exhaustive                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Functions that must stay total over Event.kind, per file: the codec
-   itself, plus the offline analyses that consume every event — a new
-   event kind must fail to compile (or lint) until each of them has
-   made a conscious decision about it, including "explicitly ignored". *)
-let codec_fn_table =
-  [
-    ( "lib/obs/event.ml",
-      [ "kind_name"; "kind_of_name"; "json_value"; "to_json"; "of_json" ],
-      "a new event kind would serialize wrong silently" );
-    ( "lib/obs/critical_path.ml",
-      [ "classify_kind"; "analyze" ],
-      "a new event kind would fall out of commit-latency attribution silently" );
-    ( "lib/obs/audit.ml",
-      [ "dispatch" ],
-      "a new event kind would bypass the protocol auditor silently" );
-  ]
-
-let event_codec_exhaustive =
-  {
-    Lint.id = "event-codec-exhaustive";
-    doc =
-      "the Event codec and its analysis consumers (Critical_path, Audit) must not use a \
-       wildcard case over events: a new event kind must fail to compile until its encoding, \
-       attribution and audit handling are written";
-    check =
-      (fun ctx ->
-        List.iter
-          (fun { Lint.rel; ast } ->
-            match ast with
-            | Lint.Intf _ -> ()
-            | Lint.Impl structure -> (
-              match
-                List.find_opt (fun (file, _, _) -> file = rel) codec_fn_table
-              with
-              | None -> ()
-              | Some (_, fns, why) ->
-                List.iter
-                  (fun vb ->
-                    match binding_name vb with
-                    | Some name when List.mem name fns ->
-                      iter_exprs_in_expr
-                        (fun e ->
-                          match e.pexp_desc with
-                          | Pexp_function cases | Pexp_match (_, cases) ->
-                            List.iter
-                              (fun c ->
-                                match catch_all c.pc_lhs with
-                                | Some _ ->
-                                  Lint.report_loc ctx ~rule:"event-codec-exhaustive"
-                                    c.pc_lhs.ppat_loc
-                                    (Printf.sprintf "wildcard case in %s: %s" name why)
-                                | None -> ())
-                              cases
-                          | _ -> ())
-                        vb.pvb_expr
-                    | Some _ | None -> ())
-                  (top_level_bindings structure)))
-          ctx.Lint.sources);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 6: no-poly-compare                                             *)
+(* Rule 5: no-poly-compare                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Identifier names that, in this codebase, denote mutable protocol
@@ -503,26 +415,7 @@ let no_poly_compare =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 7: mli-coverage                                                *)
-(* ------------------------------------------------------------------ *)
-
-let mli_coverage =
-  {
-    Lint.id = "mli-coverage";
-    doc = "every lib/**/*.ml has a sibling .mli narrowing what the rest of the tree may touch";
-    check =
-      (fun ctx ->
-        List.iter
-          (fun rel ->
-            if in_lib rel && Filename.check_suffix rel ".ml"
-               && not (List.mem (rel ^ "i") ctx.Lint.files) then
-              ctx.Lint.report ~rule:"mli-coverage" ~file:rel ~line:1 ~col:0
-                "module has no .mli: its whole namespace is exposed library-wide")
-          ctx.Lint.files);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 8: no-unsafe-obj                                               *)
+(* Rule 6: no-unsafe-obj                                               *)
 (* ------------------------------------------------------------------ *)
 
 let no_unsafe_obj =
@@ -549,7 +442,7 @@ let no_unsafe_obj =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 9: ipc-elr-pairing (interprocedural ELR release/record)        *)
+(* Rule 7: ipc-elr-pairing (interprocedural ELR release/record)        *)
 (* ------------------------------------------------------------------ *)
 
 let ipc_elr_pairing =
@@ -574,7 +467,7 @@ let ipc_elr_pairing =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 10: exn-flow                                                   *)
+(* Rule 8: exn-flow                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let exn_flow =
@@ -601,7 +494,7 @@ let exn_flow =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 11: dead-handler                                               *)
+(* Rule 9: dead-handler                                                *)
 (* ------------------------------------------------------------------ *)
 
 let dead_handler =
@@ -636,7 +529,7 @@ let dead_handler =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 12: rng-reachability                                           *)
+(* Rule 10: rng-reachability                                           *)
 (* ------------------------------------------------------------------ *)
 
 let rng_reachability =
@@ -666,9 +559,7 @@ let all =
     swallowed_control_exn;
     rng_discipline;
     crashpoint_registry;
-    event_codec_exhaustive;
     no_poly_compare;
-    mli_coverage;
     no_unsafe_obj;
     ipc_elr_pairing;
     exn_flow;

@@ -20,13 +20,9 @@
       [Node.maybe_crashpoint], the [Injector.point] constructors and
       the [Fault_plan.crashpoints] fields must agree (two-pass symbol
       table).
-    - [event-codec-exhaustive] — the [Event] codec functions must not
-      use a wildcard case, so a new event kind cannot serialize wrong
-      silently.
     - [no-poly-compare] — no polymorphic [=]/[compare]/[Hashtbl.hash]
       on identifiers naming mutable protocol state (frames, pages,
       descriptors); use the module's explicit [equal].
-    - [mli-coverage] — every [lib/**/*.ml] has a sibling [.mli].
     - [no-unsafe-obj] — no [Obj.*] in [lib/].
     - [ipc-elr-pairing] — an early lock release outside [lib/lock]
       must have an [elr_record_release] reachable in its call

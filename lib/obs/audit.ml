@@ -319,8 +319,8 @@ let on_release st (e : Event.t) =
     | Some _ | None -> ()
 
 (* One case per Event.kind, no wildcard: a new event kind must make a
-   conscious appearance here (cbl-lint enforces it). *)
-let dispatch st (e : Event.t) =
+   conscious appearance here (warning 4 enforces it). *)
+let[@warning "+4"] dispatch st (e : Event.t) =
   match e.Event.kind with
   | Event.Msg_send -> ()
   | Event.Msg_recv -> ()

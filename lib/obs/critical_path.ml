@@ -47,8 +47,8 @@ type event_class =
   | Unattributed  (** contributes to [other] implicitly *)
 
 (* One case per Event.kind, no wildcard: adding an event kind must not
-   silently fall through attribution (cbl-lint enforces this). *)
-let classify_kind : Event.kind -> event_class = function
+   silently fall through attribution (warning 4 enforces this). *)
+let[@warning "+4"] classify_kind : Event.kind -> event_class = function
   | Event.Msg_send -> Charge Network
   | Event.Msg_recv -> Unattributed (* the send already carries the charge *)
   | Event.Log_append -> Unattributed (* CPU cost; lands in [other] *)
@@ -143,7 +143,7 @@ let new_components () =
 let event_txn (e : Event.t) =
   match Event.attr_int e "txn" with Some id -> id | None -> e.Event.txn
 
-let analyze events =
+let[@warning "+4"] analyze events =
   let began : (int, float * int) Hashtbl.t = Hashtbl.create 64 in
   let parts : (int, components) Hashtbl.t = Hashtbl.create 64 in
   let window : (int, float ref) Hashtbl.t = Hashtbl.create 16 in

@@ -28,7 +28,7 @@ type event_class =
 
 val classify_kind : Event.kind -> event_class
 (** Total over {!Event.kind} with no wildcard, so adding an event kind
-    forces a conscious attribution decision (enforced by cbl-lint). *)
+    forces a conscious attribution decision (enforced by warning 4). *)
 
 type components = {
   mutable lock_wait : float;  (** lock acquisition net of attributed work done while waiting *)

@@ -53,7 +53,7 @@ type t = {
   attrs : (string * value) list;
 }
 
-let kind_name = function
+let[@warning "+4"] kind_name = function
   | Msg_send -> "msg.send"
   | Msg_recv -> "msg.recv"
   | Log_append -> "log.append"
@@ -108,7 +108,7 @@ let all_kinds =
     Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash; Trace_dropped; Note;
   ]
 
-let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
+let[@warning "+4"] kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
 
 let make ~time ~node ?(span = -1) ?(txn = -1) kind attrs = { time; node; span; txn; kind; attrs }
 
@@ -129,13 +129,13 @@ let render e =
         List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) attrs)
       e.attrs
 
-let json_value = function
+let[@warning "+4"] json_value = function
   | Int i -> Json.Int i
   | Float f -> Json.Float f
   | Str s -> Json.Str s
   | Bool b -> Json.Bool b
 
-let to_json e =
+let[@warning "+4"] to_json e =
   let base =
     [ ("t", Json.Float e.time); ("node", Json.Int e.node); ("kind", Json.Str (kind_name e.kind)) ]
   in
@@ -156,7 +156,7 @@ let value_of_json = function
 
 let header_keys = [ "t"; "node"; "kind"; "span"; "ctx" ]
 
-let of_json j =
+let[@warning "+4"] of_json j =
   match j with
   | Json.Obj fields ->
     let time = Option.bind (List.assoc_opt "t" fields) Json.to_float_opt in
@@ -193,26 +193,3 @@ let attr_float e key =
 
 let attr_str e key = match attr e key with Some (Str s) -> Some s | _ -> None
 let attr_bool e key = match attr e key with Some (Bool b) -> Some b | _ -> None
-
-(* Allocation-free substring scan (replaces the String.sub-per-position
-   search that Trace.contains used to do). *)
-let substring ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  if n = 0 then true
-  else if n > h then false
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    let limit = h - n in
-    while (not !found) && !i <= limit do
-      if String.unsafe_get hay !i = String.unsafe_get needle 0 then begin
-        let j = ref 1 in
-        while !j < n && String.unsafe_get hay (!i + !j) = String.unsafe_get needle !j do
-          incr j
-        done;
-        if !j = n then found := true
-      end;
-      incr i
-    done;
-    !found
-  end

@@ -72,7 +72,8 @@ val all_kinds : kind list
 
 val render : t -> string
 (** One-line human rendering.  A [Note] event with a single [msg]
-    attribute renders as the bare message (legacy [Trace] contract). *)
+    attribute renders as the bare message, as [cblsim demo --trace]
+    prints it. *)
 
 val to_json : t -> Json.t
 (** The trace context is exported under the key ["ctx"] (several kinds
@@ -92,6 +93,3 @@ val attr_float : t -> string -> float option
 
 val attr_str : t -> string -> string option
 val attr_bool : t -> string -> bool option
-
-val substring : needle:string -> string -> bool
-(** Allocation-free substring test: does [needle] occur in the hay? *)

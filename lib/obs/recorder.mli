@@ -51,7 +51,7 @@ val set_context : t -> txn:int -> span:int -> unit
 val clear_context : t -> unit
 
 val note : ?time:float -> ?node:int -> t -> string -> unit
-(** Legacy free-text event ([Trace.event] compatibility). *)
+(** Free-text [Note] event; what [Env.tracef] records. *)
 
 val events : t -> Event.t list
 (** Oldest first.  At most [capacity] events; see [dropped]. *)

@@ -24,10 +24,7 @@ val create :
 val config : t -> Config.t
 val clock : t -> Clock.t
 val now : t -> float
-val trace : t -> Trace.t
 val obs : t -> Repro_obs.Recorder.t
-(** Same value as [trace] ([Trace.t] is an alias); named for call sites
-    that use the typed API. *)
 
 val rng : t -> Repro_util.Rng.t
 val global_metrics : t -> Metrics.t
@@ -40,7 +37,8 @@ val tracing : t -> bool
     building attribute lists. *)
 
 val tracef : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Shorthand for [Trace.event (trace t)]. *)
+(** Records a formatted free-text [Note] event; one branch and no
+    formatting when tracing is off. *)
 
 val emit : t -> node:int -> Repro_obs.Event.kind -> (string * Repro_obs.Event.value) list -> unit
 (** Emit a typed event at the current simulated time (no-op when

@@ -78,14 +78,86 @@ let test_pool_mark_dirty_lsns () =
   Alcotest.(check int) "rec_lsn is first" 100 f.Buffer_pool.rec_lsn;
   Alcotest.(check int) "last_lsn is latest" 200 f.Buffer_pool.last_lsn
 
-let test_pool_clock_policy_sweeps () =
-  let pool = Buffer_pool.create ~policy:Buffer_pool.Clock ~capacity:2 () in
-  ignore (Buffer_pool.install pool (page 1));
-  ignore (Buffer_pool.install pool (page 2));
-  (* first sweep clears reference bits, second lap evicts the oldest *)
-  match Buffer_pool.choose_victim pool with
-  | Some _ -> ()
-  | None -> Alcotest.fail "clock found no victim"
+(* Model test: random operation sequences against a reference kept
+   here — the victim is the unpinned frame whose last install/find is
+   oldest, or none when every frame is pinned. *)
+type pool_op = Install | Find | Peek | Pin | Unpin | Remove | Clear | Victim
+
+let pool_op_name = function
+  | Install -> "install"
+  | Find -> "find"
+  | Peek -> "peek"
+  | Pin -> "pin"
+  | Unpin -> "unpin"
+  | Remove -> "remove"
+  | Clear -> "clear"
+  | Victim -> "victim"
+
+let gen_pool_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (pair (oneofl [ Install; Find; Peek; Pin; Unpin; Remove; Clear; Victim ]) (int_bound 5)))
+
+let print_pool_ops ops =
+  String.concat "; " (List.map (fun (op, s) -> Printf.sprintf "%s %d" (pool_op_name op) s) ops)
+
+let prop_pool_matches_lru_model =
+  QCheck.Test.make ~name:"pool victim matches the LRU reference" ~count:500
+    (QCheck.make ~print:print_pool_ops gen_pool_ops) (fun ops ->
+      let capacity = 4 in
+      let pool = Buffer_pool.create ~capacity () in
+      (* resident slot -> (stamp of its last install/find, pin count) *)
+      let model = Hashtbl.create 8 in
+      let stamp = ref 0 in
+      let touch s pins =
+        incr stamp;
+        Hashtbl.replace model s (!stamp, pins)
+      in
+      let expected_victim () =
+        Hashtbl.fold
+          (fun s (at, pins) best ->
+            match best with
+            | _ when pins > 0 -> best
+            | Some (_, best_at) when best_at < at -> best
+            | _ -> Some (s, at))
+          model None
+        |> Option.map fst
+      in
+      let step (op, s) =
+        let resident = Hashtbl.find_opt model s in
+        match (op, resident) with
+        | Install, None when Hashtbl.length model < capacity ->
+          ignore (Buffer_pool.install pool (page s));
+          touch s 0;
+          true
+        | Find, Some (_, pins) ->
+          touch s pins;
+          Option.is_some (Buffer_pool.find pool (pid s))
+        | Find, None -> Option.is_none (Buffer_pool.find pool (pid s))
+        | Peek, _ -> Option.is_some (Buffer_pool.peek pool (pid s)) = Option.is_some resident
+        | Pin, Some (at, pins) ->
+          Buffer_pool.pin (Option.get (Buffer_pool.peek pool (pid s)));
+          Hashtbl.replace model s (at, pins + 1);
+          true
+        | Unpin, Some (at, pins) when pins > 0 ->
+          Buffer_pool.unpin (Option.get (Buffer_pool.peek pool (pid s)));
+          Hashtbl.replace model s (at, pins - 1);
+          true
+        | Remove, _ ->
+          Buffer_pool.remove pool (pid s);
+          Hashtbl.remove model s;
+          true
+        | Clear, _ ->
+          Buffer_pool.clear pool;
+          Hashtbl.reset model;
+          true
+        | Victim, _ ->
+          Option.map (fun f -> (Page.id f.Buffer_pool.page).Page_id.slot)
+            (Buffer_pool.choose_victim pool)
+          = expected_victim ()
+        | (Install | Pin | Unpin), _ -> true
+      in
+      List.for_all (fun op -> step op && Buffer_pool.size pool = Hashtbl.length model) ops)
 
 let test_pool_clear () =
   let pool = Buffer_pool.create ~capacity:2 () in
@@ -183,7 +255,7 @@ let suite =
     ("pool LRU victim", `Quick, test_pool_lru_victim);
     ("pool pin protects", `Quick, test_pool_pin_protects);
     ("pool dirty LSNs", `Quick, test_pool_mark_dirty_lsns);
-    ("pool clock sweeps", `Quick, test_pool_clock_policy_sweeps);
+    QCheck_alcotest.to_alcotest prop_pool_matches_lru_model;
     ("pool clear", `Quick, test_pool_clear);
     ("dpt entry lifecycle", `Quick, test_dpt_entry_lifecycle);
     ("dpt flush ack drops covered", `Quick, test_dpt_flush_ack_drop);

@@ -341,54 +341,7 @@ let test_crashpoint_skipped_without_registry () =
   let r = lint [ ("lib/core/node.ml", uses_both) ] in
   check_count "no registry in scope, no findings" "crashpoint-registry" 0 r
 
-(* ---- rule 5: event-codec-exhaustive ---- *)
-
-let test_event_codec_positive () =
-  let r =
-    lint
-      [ ("lib/obs/event.ml", "let kind_name = function Log_force -> \"log_force\" | _ -> \"?\"\n") ]
-  in
-  check_count "wildcard in codec flagged" "event-codec-exhaustive" 1 r
-
-let test_event_codec_negative () =
-  let r =
-    lint
-      [
-        ( "lib/obs/event.ml",
-          "let kind_name = function Log_force -> \"log_force\" | Ckpt_begin -> \"ckpt_begin\"\n\
-           let pp_helper = function _ -> ()\n" );
-        ("lib/core/other.ml", "let kind_name = function _ -> \"?\"\n");
-      ]
-  in
-  check_count "exhaustive codec, non-codec fns and other files pass" "event-codec-exhaustive" 0 r
-
-(* The analysis consumers are held to the same rule: every Event.kind
-   must be handled (or explicitly ignored, case by case) by
-   Critical_path's classifier and Audit's dispatcher. *)
-let test_event_codec_consumers_positive () =
-  let r =
-    lint
-      [
-        ( "lib/obs/critical_path.ml",
-          "let classify_kind = function Event.Msg_send -> `Net | _ -> `Other\n" );
-        ("lib/obs/audit.ml", "let dispatch st e = match e.kind with Crash -> on_crash st | _ -> ()\n");
-      ]
-  in
-  check_count "wildcard in analysis consumers flagged" "event-codec-exhaustive" 2 r
-
-let test_event_codec_consumers_negative () =
-  let r =
-    lint
-      [
-        ( "lib/obs/critical_path.ml",
-          "let classify_kind = function Event.Msg_send -> `Net | Event.Crash -> `Other\n\
-           let helper = function Some x -> x | None -> 0\n" );
-        ("lib/obs/audit.ml", "let pp = function _ -> ()\n");
-      ]
-  in
-  check_count "exhaustive consumers and unlisted fns pass" "event-codec-exhaustive" 0 r
-
-(* ---- rule 6: no-poly-compare ---- *)
+(* ---- rule 5: no-poly-compare ---- *)
 
 let test_poly_compare_positive () =
   let r =
@@ -410,24 +363,7 @@ let test_poly_compare_negative () =
   in
   check_count "explicit equal and non-state operands pass" "no-poly-compare" 0 r
 
-(* ---- rule 7: mli-coverage ---- *)
-
-let test_mli_positive () =
-  let r = lint [ ("lib/core/solo.ml", "let x = 1\n") ] in
-  check_count "lib module without .mli flagged" "mli-coverage" 1 r
-
-let test_mli_negative () =
-  let r =
-    lint
-      [
-        ("lib/core/pair.ml", "let x = 1\n");
-        ("lib/core/pair.mli", "val x : int\n");
-        ("bin/tool.ml", "let x = 1\n");
-      ]
-  in
-  check_count "covered module and bin/ pass" "mli-coverage" 0 r
-
-(* ---- rule 8: no-unsafe-obj ---- *)
+(* ---- rule 6: no-unsafe-obj ---- *)
 
 let test_unsafe_obj () =
   let r =
@@ -459,7 +395,7 @@ let test_inline_suppression_wrong_rule () =
     lint
       [
         ( "lib/core/foo.ml",
-          "let commit log = (Log_manager.force log ~upto:3) [@cbl.lint.allow \"mli-coverage\"]\n"
+          "let commit log = (Log_manager.force log ~upto:3) [@cbl.lint.allow \"no-unsafe-obj\"]\n"
         );
       ]
   in
@@ -470,25 +406,26 @@ let test_floating_suppression () =
     lint
       [
         ( "lib/core/foo.ml",
-          "[@@@cbl.lint.allow \"mli-coverage\"]\n\nlet commit log = Log_manager.force log ~upto:3\n"
-        );
+          "[@@@cbl.lint.allow \"no-unsafe-obj\"]\n\n\
+           let f x = Obj.magic x\n\
+           let commit log = Log_manager.force log ~upto:3\n" );
       ]
   in
-  check_count "floating attribute silences whole file" "mli-coverage" 0 r;
+  check_count "floating attribute silences whole file" "no-unsafe-obj" 0 r;
   check_count "other rules still fire" "ipc-force-sweep" 1 r;
   Alcotest.(check int) "counted as suppressed" 1 r.Lint.suppressed
 
 let test_allowlist () =
   let r =
     lint
-      ~allowlist:"# grandfathered\nmli-coverage lib/core/solo.ml\n"
-      [ ("lib/core/solo.ml", "let x = 1\n") ]
+      ~allowlist:"# grandfathered\nno-unsafe-obj lib/util/hack.ml\n"
+      [ ("lib/util/hack.ml", "let f x = Obj.magic x\n") ]
   in
-  check_count "allowlisted finding dropped" "mli-coverage" 0 r;
+  check_count "allowlisted finding dropped" "no-unsafe-obj" 0 r;
   Alcotest.(check int) "counted as allowlisted" 1 r.Lint.allowlisted;
   Alcotest.(check bool) "run is ok" true (Lint.ok r)
 
-(* ---- rule 9: ipc-elr-pairing (interprocedural) ---- *)
+(* ---- rule 7: ipc-elr-pairing (interprocedural) ---- *)
 
 let test_elr_pairing_positive () =
   let r =
@@ -546,7 +483,7 @@ let test_elr_pairing_outside_lib () =
   let r = lint [ ("bin/tool.ml", "let go locks = Local_locks.release_txn_early locks ~txn:1\n") ] in
   check_count "bin/ out of scope" "ipc-elr-pairing" 0 r
 
-(* ---- rule 10: exn-flow ---- *)
+(* ---- rule 8: exn-flow ---- *)
 
 let test_exn_flow_unreachable_handler () =
   (* A raise no context up the graph can catch. *)
@@ -594,7 +531,7 @@ let test_exn_flow_same_function_handler () =
   in
   check_count "own handler covers" "exn-flow" 0 r
 
-(* ---- rule 11: dead-handler ---- *)
+(* ---- rule 9: dead-handler ---- *)
 
 let test_dead_handler_positive () =
   (* Nothing the guarded body reaches can raise: retry boundary that
@@ -621,7 +558,7 @@ let test_dead_handler_unresolved_conservative () =
     lint [ ("lib/core/a.ml", "let f g = try g () with Block.Would_block _ -> 0\n") ] in
   check_count "unresolvable body stays live" "dead-handler" 0 r
 
-(* ---- rule 12: rng-reachability ---- *)
+(* ---- rule 10: rng-reachability ---- *)
 
 let test_rng_reachability_positive () =
   let r = lint [ ("lib/sim/gen.ml", "let pick rng =\n  Rng.int rng 10\n") ] in
@@ -647,6 +584,100 @@ let test_rng_reachability_impl_exempt () =
   let r = lint [ ("lib/util/rng.ml", "let int t n = Rng.next_int64 t\n") ] in
   check_count "rng module exempt" "rng-reachability" 0 r
 
+(* ---- bug classes the compiler rejects instead of a rule ---- *)
+
+(* A wildcard case in the Event codec or one of its analysis consumers
+   is warning 4, switched on by [let[@warning "+4"]] on each of those
+   functions; a library module without an .mli is warning 70, an error
+   under lib/dune.  Each shape is compiled with the -w flags of the root
+   dune and lib/dune: the bug must fail naming the warning, the clean
+   form must build. *)
+let repo_warning_flags () =
+  let flags_of rel =
+    let file = Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat ".." rel) in
+    let words =
+      In_channel.with_open_text file In_channel.input_lines
+      |> List.filter (fun l -> not (String.starts_with ~prefix:";" (String.trim l)))
+      |> String.concat " "
+      |> String.map (function '(' | ')' | '\t' -> ' ' | c -> c)
+      |> String.split_on_char ' '
+    in
+    let rec go = function
+      | "-w" :: spec :: rest -> "-w" :: spec :: go rest
+      | _ :: rest -> go rest
+      | [] -> []
+    in
+    go words
+  in
+  flags_of "dune" @ flags_of "lib/dune"
+
+(* Compile [files] in order in a fresh directory: [None] when every
+   step builds, else the compiler's diagnostics. *)
+let compile files =
+  let root = fresh_root () in
+  List.iter (write_file root) files;
+  let errors = Filename.concat root "errors.txt" in
+  let compile_one (rel, _) =
+    let src = Filename.concat root rel in
+    let args =
+      ("-c" :: repo_warning_flags ()) @ [ "-I"; root; "-o"; Filename.remove_extension src; src ]
+    in
+    Sys.command (Filename.quote_command "ocamlc" ~stdout:errors ~stderr:errors args) = 0
+  in
+  if List.for_all compile_one files then None
+  else Some (In_channel.with_open_text errors In_channel.input_all)
+
+let check_rejected msg ~warning files =
+  match compile files with
+  | None -> Alcotest.fail (msg ^ ": compiled")
+  | Some errors ->
+    let needle = Printf.sprintf "Error (warning %s" warning in
+    let n = String.length needle in
+    let rec has i =
+      i + n <= String.length errors && (String.sub errors i n = needle || has (i + 1))
+    in
+    if not (has 0) then Alcotest.fail (msg ^ ": wrong error:\n" ^ errors)
+
+let check_accepted msg files =
+  Option.iter (fun errors -> Alcotest.fail (msg ^ ":\n" ^ errors)) (compile files)
+
+(* [name] over a closed kind type, written the way lib/obs writes the
+   codec ([function] cases) and the consumers ([match] inside a
+   multi-argument function). *)
+let event_fn ~consumer name cases =
+  let header = "type kind = A | B | C\n" in
+  let sig_, body =
+    if consumer then ("int -> kind -> int", "st e = st + (match e with " ^ cases ^ ")")
+    else ("kind -> int", "= function " ^ cases)
+  in
+  [
+    ("kinds.mli", Printf.sprintf "%sval %s : %s\n" header name sig_);
+    ("kinds.ml", Printf.sprintf "%slet[@warning \"+4\"] %s %s\n" header name body);
+  ]
+
+let wildcard = "A -> 0 | _ -> 1"
+let exhaustive = "A -> 0 | B -> 1 | C -> 2"
+
+let test_event_codec_positive () =
+  check_rejected "wildcard in the codec" ~warning:"4 [fragile-match]"
+    (event_fn ~consumer:false "kind_name" wildcard)
+
+let test_event_codec_negative () =
+  check_accepted "exhaustive codec" (event_fn ~consumer:false "kind_name" exhaustive)
+
+let test_event_codec_consumers_positive () =
+  check_rejected "wildcard in a consumer" ~warning:"4 [fragile-match]"
+    (event_fn ~consumer:true "dispatch" wildcard)
+
+let test_event_codec_consumers_negative () =
+  check_accepted "exhaustive consumer" (event_fn ~consumer:true "dispatch" exhaustive)
+
+let test_mli_coverage_positive () =
+  check_rejected "module without .mli" ~warning:"70 [missing-mli]" [ ("solo.ml", "let x = 1\n") ]
+
+let test_mli_coverage_negative () =
+  check_accepted "module with .mli" [ ("pair.mli", "val x : int\n"); ("pair.ml", "let x = 1\n") ]
+
 (* ---- engine odds and ends ---- *)
 
 let test_parse_error_is_finding () =
@@ -655,7 +686,7 @@ let test_parse_error_is_finding () =
   Alcotest.(check bool) "run not ok" false (Lint.ok r)
 
 let test_json_report_shape () =
-  let r = lint [ ("lib/core/solo.ml", "let x = 1\n") ] in
+  let r = lint [ ("lib/util/hack.ml", "let f x = Obj.magic x\n") ] in
   let json = Lint.result_to_json ~rules:Rules.all r in
   let member name = Json.member name json in
   Alcotest.(check (option string))
@@ -665,11 +696,11 @@ let test_json_report_shape () =
     "files_scanned" (Some 1)
     (Option.bind (member "files_scanned") Json.to_int_opt);
   (match member "rules" with
-  | Some (Json.List rules) -> Alcotest.(check int) "twelve rules" 12 (List.length rules)
+  | Some (Json.List rules) -> Alcotest.(check int) "ten rules" 10 (List.length rules)
   | _ -> Alcotest.fail "rules member missing");
   (match member "rule_seconds" with
   | Some (Json.Obj timings) ->
-    Alcotest.(check int) "one timing per rule" 12 (List.length timings);
+    Alcotest.(check int) "one timing per rule" 10 (List.length timings);
     Alcotest.(check (list string))
       "timings in registry order"
       (List.map (fun rule -> rule.Lint.id) Rules.all)
@@ -678,7 +709,7 @@ let test_json_report_shape () =
   match member "findings" with
   | Some (Json.List (Json.Obj fields :: _)) ->
     Alcotest.(check (option string))
-      "finding rule" (Some "mli-coverage")
+      "finding rule" (Some "no-unsafe-obj")
       (Option.bind (List.assoc_opt "rule" fields) Json.to_string_opt)
   | _ -> Alcotest.fail "findings member missing"
 
@@ -873,16 +904,8 @@ let suite =
       test_crashpoint_recovery_missing_probe;
     Alcotest.test_case "crashpoint: silent without registry" `Quick
       test_crashpoint_skipped_without_registry;
-    Alcotest.test_case "event-codec: wildcard flagged" `Quick test_event_codec_positive;
-    Alcotest.test_case "event-codec: exhaustive passes" `Quick test_event_codec_negative;
-    Alcotest.test_case "event-codec: consumer wildcard flagged" `Quick
-      test_event_codec_consumers_positive;
-    Alcotest.test_case "event-codec: exhaustive consumers pass" `Quick
-      test_event_codec_consumers_negative;
     Alcotest.test_case "no-poly-compare: state operands flagged" `Quick test_poly_compare_positive;
     Alcotest.test_case "no-poly-compare: clean idioms pass" `Quick test_poly_compare_negative;
-    Alcotest.test_case "mli-coverage: missing .mli flagged" `Quick test_mli_positive;
-    Alcotest.test_case "mli-coverage: sibling .mli passes" `Quick test_mli_negative;
     Alcotest.test_case "no-unsafe-obj: Obj in lib/ flagged" `Quick test_unsafe_obj;
     Alcotest.test_case "ipc-elr-pairing: bare release flagged" `Quick test_elr_pairing_positive;
     Alcotest.test_case "ipc-elr-pairing: recorded release passes" `Quick
@@ -912,6 +935,14 @@ let suite =
     Alcotest.test_case "suppression: wrong rule id inert" `Quick test_inline_suppression_wrong_rule;
     Alcotest.test_case "suppression: floating attribute" `Quick test_floating_suppression;
     Alcotest.test_case "allowlist: grandfathered entry" `Quick test_allowlist;
+    Alcotest.test_case "event-codec: wildcard flagged" `Quick test_event_codec_positive;
+    Alcotest.test_case "event-codec: exhaustive passes" `Quick test_event_codec_negative;
+    Alcotest.test_case "event-codec: consumer wildcard flagged" `Quick
+      test_event_codec_consumers_positive;
+    Alcotest.test_case "event-codec: exhaustive consumers pass" `Quick
+      test_event_codec_consumers_negative;
+    Alcotest.test_case "mli-coverage: missing .mli flagged" `Quick test_mli_coverage_positive;
+    Alcotest.test_case "mli-coverage: sibling .mli passes" `Quick test_mli_coverage_negative;
     Alcotest.test_case "engine: parse error is a finding" `Quick test_parse_error_is_finding;
     Alcotest.test_case "engine: JSON report shape" `Quick test_json_report_shape;
     Alcotest.test_case "engine: clean tree is ok" `Quick test_clean_tree_ok;

@@ -4,7 +4,8 @@
 module Clock = Repro_sim.Clock
 module Config = Repro_sim.Config
 module Metrics = Repro_sim.Metrics
-module Trace = Repro_sim.Trace
+module Recorder = Repro_obs.Recorder
+module Event = Repro_obs.Event
 module Env = Repro_sim.Env
 
 let feq = Alcotest.(check (float 1e-12))
@@ -51,17 +52,16 @@ let test_metrics_alist_is_stable () =
     (List.length names = List.length (List.sort_uniq compare names))
 
 let test_trace_enabled_and_disabled () =
-  let t = Trace.create ~enabled:true () in
-  Trace.event t "hello %d" 42;
-  Trace.event t "world";
-  Alcotest.(check (list string)) "ordered" [ "hello 42"; "world" ] (Trace.events t);
-  Alcotest.(check bool) "substring search" true (Trace.contains t "llo 4");
-  Alcotest.(check bool) "absent" false (Trace.contains t "nope");
-  Trace.clear t;
-  Alcotest.(check (list string)) "cleared" [] (Trace.events t);
-  let off = Trace.create () in
-  Trace.event off "invisible %s" "x";
-  Alcotest.(check (list string)) "disabled records nothing" [] (Trace.events off)
+  let rendered env = List.map Event.render (Recorder.events (Env.obs env)) in
+  let env = Env.create ~trace:true Config.instant in
+  Env.tracef env "hello %d" 42;
+  Env.tracef env "world";
+  Alcotest.(check (list string)) "ordered" [ "hello 42"; "world" ] (rendered env);
+  Recorder.clear (Env.obs env);
+  Alcotest.(check (list string)) "cleared" [] (rendered env);
+  let off = Env.create Config.instant in
+  Env.tracef off "invisible %s" "x";
+  Alcotest.(check (list string)) "disabled records nothing" [] (rendered off)
 
 let test_env_charges_advance_clock_and_busy () =
   let env = Env.create Config.default in

@@ -286,6 +286,35 @@ let test_golden_group_commit () =
   Alcotest.check float_exact "latency p95" 0.22165800000000091 o.Driver.latencies.Stats.p95;
   Alcotest.(check (pair int int)) "shadow" (247, 404002083) (shadow_fingerprint o)
 
+(* Eight-frame pools over 80 pages with remote traffic and a
+   crash/recover: thousands of evictions, so this fixes the victim
+   order.  Captured before the pool's recency list replaced the
+   last-use scan. *)
+let test_golden_eviction_pressure () =
+  let c = Cluster.create ~seed:19 ~nodes:4 ~pool_capacity:8 Config.default in
+  let pages_by_owner =
+    List.map (fun o -> (o, Cluster.allocate_pages c ~owner:o ~count:40)) [ 0; 2 ]
+  in
+  let rng = Rng.create 19 in
+  let scripts =
+    Generators.partitioned rng ~pages_by_owner ~clients:[ 0; 1; 2; 3 ] ~txns_per_client:20
+      ~mix:{ Generators.default_mix with remote_fraction = 0.5 }
+  in
+  let events = [ (8, Driver.Crash 1); (14, Driver.Recover [ 1 ]) ] in
+  let o = Driver.run (Engine.of_cluster c) ~events scripts in
+  let m = Cluster.global_metrics c in
+  Alcotest.(check int) "committed" 80 o.Driver.committed;
+  Alcotest.(check int) "deadlock aborts" 265 o.Driver.deadlock_aborts;
+  Alcotest.(check int) "rounds" 428 o.Driver.rounds;
+  Alcotest.check float_exact "sim seconds" 35.556489149998711 o.Driver.sim_seconds;
+  Alcotest.check float_exact "latency mean" 7.1921996037495948 o.Driver.latencies.Stats.mean;
+  Alcotest.check float_exact "latency p95" 14.583460049998775 o.Driver.latencies.Stats.p95;
+  Alcotest.(check (pair int int)) "shadow" (269, 346908834) (shadow_fingerprint o);
+  Alcotest.(check (list int)) "disk reads, writes, pages shipped, misses"
+    [ 1015; 739; 587; 1261 ]
+    Repro_sim.Metrics.[ m.page_disk_reads; m.page_disk_writes; m.pages_shipped; m.cache_misses ];
+  match Driver.verify o with Ok () -> () | Error e -> Alcotest.fail (List.hd e)
+
 let suite =
   [
     ("op introspection", `Quick, test_op_introspection);
@@ -303,4 +332,5 @@ let suite =
     ("golden: partitioned with crash/recover", `Quick, test_golden_partitioned_crash);
     ("golden: detect policy, mpl cap, savepoints", `Quick, test_golden_detect_mpl_savepoints);
     ("golden: group commit", `Quick, test_golden_group_commit);
+    ("golden: eviction pressure", `Quick, test_golden_eviction_pressure);
   ]
