@@ -8,9 +8,11 @@
 #                            0 (the default) skips the sweep.
 #   SCALE_SMOKE=1 ./ci.sh    additionally runs the big-cluster scale
 #                            smoke (32 nodes x 256 clients ->
-#                            BENCH_SCALE.json) and gates its throughput
+#                            BENCH_SCALE.json), gates its throughput
 #                            and simulator-speed columns against
-#                            bench/bench_scale_baseline.json.
+#                            bench/bench_scale_baseline.json, and runs
+#                            the repo benchmark's traced smoke
+#                            (perfbench, every workload).
 set -eu
 cd "$(dirname "$0")"
 
@@ -88,6 +90,11 @@ if [ "$SCALE_SMOKE" = "1" ]; then
   echo "== scale smoke: 32 nodes x 256 clients -> BENCH_SCALE.json + gate =="
   dune exec bin/cblsim.exe -- scale --nodes 32 --out BENCH_SCALE.json
   dune exec bench/check_regression.exe -- bench/bench_scale_baseline.json BENCH_SCALE_DIFF.txt
+  # The repo benchmark's own checks on every workload: durability
+  # oracle, invariants, zero commit messages, a bit-identical repeat
+  # and traced == untraced.  Any failed check exits non-zero.
+  echo "== repo benchmark smoke: perfbench, all workloads, traced =="
+  python3 perfbench/run.py --workload all --seed 2026 --seconds 1 --trace 1
 fi
 
 echo "CI OK"

@@ -1,12 +1,15 @@
 type slot_state = Free of { seed : int } | Allocated
 
+module Int_set = Set.Make (Int)
+
 type t = {
   owner : int;
   mutable next_slot : int;
   slots : (int, slot_state) Hashtbl.t; (* slot -> state; absent = never used, seed 0 *)
+  mutable free : Int_set.t; (* the slots in state [Free], so the lowest is one lookup *)
 }
 
-let create ~owner = { owner; next_slot = 0; slots = Hashtbl.create 64 }
+let create ~owner = { owner; next_slot = 0; slots = Hashtbl.create 64; free = Int_set.empty }
 
 let seed_of t slot =
   match Hashtbl.find_opt t.slots slot with
@@ -16,14 +19,11 @@ let seed_of t slot =
 
 let allocate t ~page_size =
   (* Reuse the lowest free slot, else extend the database. *)
-  let rec find_free slot = if slot >= t.next_slot then None else
-      match Hashtbl.find_opt t.slots slot with
-      | Some (Free _) -> Some slot
-      | Some Allocated | None -> find_free (slot + 1)
-  in
   let slot =
-    match find_free 0 with
-    | Some s -> s
+    match Int_set.min_elt_opt t.free with
+    | Some s ->
+      t.free <- Int_set.remove s t.free;
+      s
     | None ->
       let s = t.next_slot in
       t.next_slot <- s + 1;
@@ -39,7 +39,8 @@ let deallocate t page =
   (match Hashtbl.find_opt t.slots pid.Page_id.slot with
   | Some Allocated -> ()
   | Some (Free _) | None -> invalid_arg "Alloc_map: page not allocated");
-  Hashtbl.replace t.slots pid.Page_id.slot (Free { seed = Page.psn page + 1 })
+  Hashtbl.replace t.slots pid.Page_id.slot (Free { seed = Page.psn page + 1 });
+  t.free <- Int_set.add pid.Page_id.slot t.free
 
 let allocated t =
   Hashtbl.fold

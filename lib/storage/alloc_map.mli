@@ -14,13 +14,14 @@ type t
 val create : owner:int -> t
 
 val allocate : t -> page_size:int -> Page.t
-(** Allocates the next free slot of the owner's database and returns a
-    fresh zeroed page whose PSN is the seed recorded in the map (0 for a
-    never-used slot). *)
+(** Allocates the lowest free slot of the owner's database (extending
+    it when none is free) and returns a fresh zeroed page whose PSN is
+    the seed recorded in the map (0 for a never-used slot).
+    O(log f) in the number of free slots [f]. *)
 
 val deallocate : t -> Page.t -> unit
 (** Frees the page's slot, remembering [Page.psn p + 1] as the PSN seed
-    a future reallocation must start from. *)
+    a future reallocation must start from.  O(log f). *)
 
 val allocated : t -> Page_id.t list
 (** Currently-allocated slots. *)

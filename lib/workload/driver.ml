@@ -40,8 +40,10 @@ type prog = {
   mutable wake : int;
       (* next round this program acts.  The authoritative copy: the run
          queue may hold stale entries for earlier reschedules, dropped
-         on pop when they disagree with this field. *)
-  mutable last_block : string;
+         on pop when they disagree with this field.  [max_int] while the
+         program waits in its node's admission queue. *)
+  mutable last_block : Block.reason option;
+      (* formatted only for the stuck-script trace line *)
   mutable aborting : bool;
       (* a wound/victim abort blocked part-way (its undo needs a down
          node): the transaction is half rolled back and must not run
@@ -79,7 +81,7 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
           retries = 0;
           began_at = 0.;
           wake = 0;
-          last_block = "";
+          last_block = None;
           aborting = false;
           committing = false;
         })
@@ -114,6 +116,12 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
   let by_txn : (int, prog) Hashtbl.t = Hashtbl.create 256 in
   let runq = Heap.create ~capacity:(max 16 (Array.length progs)) () in
   Array.iter (fun p -> Heap.push runq p.idx (* wake 0 ⇒ key = idx *)) progs;
+  (* Admission queues: per node, the programs that found the node at
+     its MPL with no transaction of their own, keyed by index.  They
+     leave the run queue until a slot may be free; [waiting] counts
+     them across nodes. *)
+  let admission = Array.init (max_node + 1) (fun _ -> Heap.create ()) in
+  let waiting = ref 0 in
   (* [scan_idx] is the index currently being processed (-1 outside the
      scan).  A cooldown set at or before the program's own turn this
      round starts counting next round — the legacy per-visit decrement
@@ -305,7 +313,8 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
   in
   (* Process one runnable program: the same branch ladder the legacy
      per-round scan evaluated at every visit, minus the cooldown branch
-     (a cooling program simply is not scheduled). *)
+     (a cooling program simply is not scheduled).  A program refused an
+     MPL slot leaves for its node's admission queue. *)
   let process p =
     let idx = p.idx in
     if p.aborting then (
@@ -353,7 +362,7 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
            round would melt the network, so a blocked script sits
            out a few rounds before retrying. *)
         set_cooldown p 4;
-        p.last_block <- Format.asprintf "%a" Block.pp_reason reason;
+        p.last_block <- Some reason;
         if p.txn <> None && not (engine.Engine.is_up ~node:p.script.Op.node) then
           (* The home node itself crashed mid-operation (an injected
              crash point): the in-flight transaction died with it.
@@ -402,6 +411,13 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
                a down peer) heals the same way: the blocker's own
                recovery completes the parked redo. *)
             ())
+    end
+    else begin
+      (* No slot: wait in the node's admission queue instead of
+         polling every round.  No run-queue key matches [max_int]. *)
+      p.wake <- max_int;
+      Heap.push admission.(p.script.Op.node) idx;
+      incr waiting
     end
   in
   let stalled = ref 0 in
@@ -452,6 +468,27 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
       due;
     progressed := false;
     Array.blit active 0 admit 0 (Array.length active);
+    (* Admit waiting programs into this round, after the events so
+       crash resets have freed their slots.  The round's free slots go
+       to the first programs in index order that reach the admission
+       check, and waiting programs are a subset of those, so the
+       winners are a prefix of each admission queue: schedule that
+       many.  One that then loses its slot to a lower-index program
+       waits again, with no side effect.  The rest still count one
+       scheduling event each, as if they had been dispatched. *)
+    if !waiting > 0 then
+      Array.iteri
+        (fun node q ->
+          let free = ref (mpl - admit.(node)) in
+          while !free > 0 && not (Heap.is_empty q) do
+            let idx = Heap.pop_min q in
+            decr free;
+            decr waiting;
+            progs.(idx).wake <- !round;
+            Heap.push runq ((!round lsl idx_bits) lor idx)
+          done)
+        admission;
+    sched_events := !sched_events + !waiting;
     (* Drain this round's runnable programs.  Keys pop in (round, idx)
        order, so same-round programs run in exactly the legacy scan
        order; stale entries (a reschedule moved the program's wake) are
@@ -491,10 +528,12 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
     Array.iteri
       (fun i p ->
         if p.status = Running then
-          Env.tracef engine.Engine.env "stuck script %d (txn=%s) at node %d step %d retries %d: %s"
+          Env.tracef engine.Engine.env "stuck script %d (txn=%s) at node %d step %d retries %d: %a"
             i
             (match p.txn with Some t -> string_of_int t | None -> "-")
-            p.script.Op.node p.step p.retries p.last_block)
+            p.script.Op.node p.step p.retries
+            (Format.pp_print_option Block.pp_reason)
+            p.last_block)
       progs;
   {
     engine;

@@ -15,6 +15,16 @@
     RNG draw and simulated-clock advance) are bit-identical to the old
     linear scan.
 
+    A program with no transaction that finds its node at the MPL does
+    not poll: it waits in the node's admission queue, ordered by program
+    index.  At the start of each round, after events fire, the lowest
+    [mpl - in_flight] waiting programs of each node rejoin the round.
+    The round's free slots go to the first programs in index order that
+    reach the admission check, so these are the only waiting programs
+    that can win one; one that loses its slot to a lower-index program
+    waits again.  The schedule is the one a per-round poll of every
+    waiting program would give.
+
     The driver maintains a {b shadow} of every delta-updated cell,
     applied only at commit.  {!verify} re-reads all shadow cells through
     the engine and reports mismatches — the central correctness oracle:
@@ -44,8 +54,11 @@ type outcome = {
   stuck : int;  (** scripts that could not finish — 0 on a healthy run *)
   rounds : int;
   sched_events : int;
-      (** programs dispatched by the run queue — the deterministic unit
-          of scheduler work (basis for sim-events/sec in scale runs) *)
+      (** program-rounds: one per round for each running program not in
+          a cooldown, counted whether it was dispatched or waited in an
+          admission queue.  The deterministic unit of scheduler work,
+          independent of how the scheduler is built (basis for
+          sim-events/sec in scale runs) *)
   sim_seconds : float;  (** simulated time consumed by the run *)
   latencies : Repro_util.Stats.summary;  (** commit latency, simulated seconds *)
   shadow : ((Repro_storage.Page_id.t * int) * int64) list;  (** expected committed cell values *)

@@ -202,10 +202,104 @@ let prop_strategy_equivalence =
     QCheck.(int_range 0 1_000_000)
     strategy_equivalent
 
+(* The multiprogramming limit, observed from outside the driver: the
+   engine's closures count each node's transactions from [begin_txn]
+   until a durable or lost commit verdict, a completed abort, or the
+   node's crash.  Under small MPLs, crash/recover events and (on odd
+   seeds) group commit, no node may ever exceed [mpl] in flight, every
+   script must finish (none waits forever for a slot) and the oracle
+   must verify. *)
+let mpl_run seed =
+  let rng = Rng.create seed in
+  let nodes = 2 + Rng.int rng 3 in
+  let mpl = 1 + Rng.int rng 3 in
+  let config =
+    if seed mod 2 = 1 then Config.with_group_commit Config.instant ~window_ms:5. ~max_batch:4
+    else Config.instant
+  in
+  let cluster = Cluster.create ~seed ~nodes ~pool_capacity:16 config in
+  let pages_by_owner =
+    List.map
+      (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:(6 + Rng.int rng 10)))
+      [ 0; 1 ]
+  in
+  let scripts =
+    Generators.partitioned rng ~pages_by_owner
+      ~clients:(List.init nodes (fun i -> i))
+      ~txns_per_client:(3 + Rng.int rng 6)
+      ~mix:
+        {
+          Generators.default_mix with
+          remote_fraction = Rng.float rng 0.6;
+          theta = Rng.float rng 0.9;
+          abort_fraction = 0.1;
+        }
+  in
+  let in_flight = Array.make nodes 0 in
+  let home = Hashtbl.create 64 in
+  let peak = ref 0 in
+  let finish txn =
+    match Hashtbl.find_opt home txn with
+    | Some node ->
+      Hashtbl.remove home txn;
+      in_flight.(node) <- in_flight.(node) - 1
+    | None -> ()
+  in
+  let base = Engine.of_cluster cluster in
+  let engine =
+    {
+      base with
+      Engine.begin_txn =
+        (fun ~node ->
+          let txn = base.Engine.begin_txn ~node in
+          Hashtbl.replace home txn node;
+          in_flight.(node) <- in_flight.(node) + 1;
+          peak := max !peak in_flight.(node);
+          txn);
+      commit_outcome =
+        (fun ~txn ->
+          let v = base.Engine.commit_outcome ~txn in
+          (match v with `Durable | `Gone -> finish txn | `Pending -> ());
+          v);
+      abort =
+        (fun ~txn ->
+          base.Engine.abort ~txn;
+          finish txn);
+      crash =
+        (fun ~node ->
+          base.Engine.crash ~node;
+          Hashtbl.fold (fun txn n acc -> if n = node then txn :: acc else acc) home []
+          |> List.iter finish);
+    }
+  in
+  let victim = Rng.int rng nodes in
+  let crash_at = 3 + Rng.int rng 10 in
+  let events =
+    [ (crash_at, Driver.Crash victim); (crash_at + 5 + Rng.int rng 15, Driver.Recover [ victim ]) ]
+  in
+  let outcome = Driver.run engine ~events ~mpl ~max_rounds:30_000 scripts in
+  if !peak > mpl then Error (Printf.sprintf "mpl %d: %d transactions in flight on a node" mpl !peak)
+  else if outcome.Driver.stuck > 0 then
+    Error (Printf.sprintf "mpl %d: %d stuck" mpl outcome.Driver.stuck)
+  else
+    match Driver.verify outcome with
+    | Ok () -> Ok ()
+    | Error errs -> Error (String.concat "; " errs)
+
+let prop_mpl_respected =
+  QCheck.Test.make ~name:"MPL caps in-flight transactions per node and starves no script"
+    ~count:50
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      match mpl_run seed with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
+
 let suite =
   [
     qcheck prop_durability_under_crashes;
     qcheck prop_invert_roundtrip;
     qcheck prop_merge_sorted_and_alternating;
     qcheck prop_strategy_equivalence;
+    qcheck prop_mpl_respected;
   ]

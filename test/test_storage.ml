@@ -112,6 +112,60 @@ let test_alloc_double_free_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* The allocator against a reference model that rescans every slot from
+   0 for the lowest free one: over random allocate/deallocate sequences
+   (each free after a random PSN advance) the page ids, the PSNs handed
+   out and every slot's [psn_seed] must agree. *)
+let prop_alloc_matches_linear_scan =
+  QCheck.Test.make ~name:"alloc map: lowest free slot and PSN seeds match a linear scan"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 120) (triple (int_bound 2) small_nat small_nat))
+    (fun ops ->
+      let m = Alloc_map.create ~owner:3 in
+      let model = Hashtbl.create 16 in
+      (* slot -> `Free seed | `Allocated; absent = never used *)
+      let next = ref 0 in
+      let live = ref [] in
+      let model_allocate () =
+        let rec scan slot =
+          if slot >= !next then begin
+            incr next;
+            slot
+          end
+          else match Hashtbl.find_opt model slot with Some (`Free _) -> slot | _ -> scan (slot + 1)
+        in
+        let slot = scan 0 in
+        let seed = match Hashtbl.find_opt model slot with Some (`Free s) -> s | _ -> 0 in
+        Hashtbl.replace model slot `Allocated;
+        (slot, seed)
+      in
+      List.for_all
+        (fun (kind, k, bump) ->
+          (if kind < 2 || !live = [] then begin
+             let page = Alloc_map.allocate m ~page_size:16 in
+             let slot, seed = model_allocate () in
+             live := page :: !live;
+             (Page.id page).Page_id.slot = slot && Page.psn page = seed
+           end
+           else begin
+             let page = List.nth !live (k mod List.length !live) in
+             live := List.filter (fun q -> q != page) !live;
+             Page.set_psn page (Page.psn page + bump);
+             Alloc_map.deallocate m page;
+             Hashtbl.replace model (Page.id page).Page_id.slot (`Free (Page.psn page + 1));
+             true
+           end)
+          && List.for_all
+               (fun slot ->
+                 let id = pid ~owner:3 ~slot in
+                 match Hashtbl.find_opt model slot with
+                 | Some `Allocated -> Alloc_map.is_allocated m id
+                 | Some (`Free seed) ->
+                   (not (Alloc_map.is_allocated m id)) && Alloc_map.psn_seed m id = seed
+                 | None -> (not (Alloc_map.is_allocated m id)) && Alloc_map.psn_seed m id = 0)
+               (List.init (!next + 1) Fun.id))
+        ops)
+
 (* ---- Disk ---- *)
 
 let env () = Env.create Config.instant
@@ -210,6 +264,7 @@ let suite =
     ("alloc sequential slots", `Quick, test_alloc_sequential_slots);
     ("alloc PSN seed never regresses", `Quick, test_alloc_psn_seed_never_regresses);
     ("alloc double free rejected", `Quick, test_alloc_double_free_rejected);
+    qcheck prop_alloc_matches_linear_scan;
     ("disk read/write isolation", `Quick, test_disk_read_write);
     ("disk missing page", `Quick, test_disk_missing);
     ("log device append/force", `Quick, test_log_device_append_force);

@@ -250,6 +250,7 @@ let test_golden_detect_mpl_savepoints () =
   Alcotest.(check int) "voluntary aborts" 3 o.Driver.voluntary_aborts;
   Alcotest.(check int) "deadlock aborts" 59 o.Driver.deadlock_aborts;
   Alcotest.(check int) "rounds" 521 o.Driver.rounds;
+  Alcotest.(check int) "sched events" 6665 o.Driver.sched_events;
   Alcotest.(check (pair int int)) "shadow" (88, 573119324) (shadow_fingerprint o)
 
 let interleave lists =
@@ -281,10 +282,71 @@ let test_golden_group_commit () =
   let o = Driver.run (Engine.of_cluster c) ~mpl:8 scripts in
   Alcotest.(check int) "committed" 80 o.Driver.committed;
   Alcotest.(check int) "rounds" 70 o.Driver.rounds;
+  Alcotest.(check int) "sched events" 3070 o.Driver.sched_events;
   Alcotest.check float_exact "sim seconds" 0.36367120000001774 o.Driver.sim_seconds;
   Alcotest.check float_exact "latency mean" 0.035436592500001737 o.Driver.latencies.Stats.mean;
   Alcotest.check float_exact "latency p95" 0.22165800000000091 o.Driver.latencies.Stats.p95;
   Alcotest.(check (pair int int)) "shadow" (247, 404002083) (shadow_fingerprint o)
+
+(* Wound-wait under MPL 2 with twelve scripts per node: most scripts
+   wait for a slot, and node 1 crashes and recovers while its waiting
+   scripts hold no transaction.  Captured before scripts waiting for an
+   MPL slot left the run queue. *)
+let test_golden_mpl_parked_crash () =
+  let c = Cluster.create ~seed:23 ~nodes:4 Config.default in
+  let pages_by_owner =
+    List.map (fun o -> (o, Cluster.allocate_pages c ~owner:o ~count:24)) [ 0; 2 ]
+  in
+  let rng = Rng.create 23 in
+  let scripts =
+    Generators.partitioned rng ~pages_by_owner ~clients:[ 0; 1; 2; 3 ] ~txns_per_client:12
+      ~mix:{ Generators.default_mix with remote_fraction = 0.4 }
+  in
+  let events = [ (5, Driver.Crash 1); (15, Driver.Recover [ 1 ]) ] in
+  let o = Driver.run (Engine.of_cluster c) ~events ~mpl:2 scripts in
+  Alcotest.(check int) "committed" 48 o.Driver.committed;
+  Alcotest.(check int) "deadlock aborts" 56 o.Driver.deadlock_aborts;
+  Alcotest.(check int) "rounds" 314 o.Driver.rounds;
+  Alcotest.(check int) "sched events" 6694 o.Driver.sched_events;
+  Alcotest.check float_exact "sim seconds" 4.5725334499999777 o.Driver.sim_seconds;
+  Alcotest.check float_exact "latency mean" 0.46502134791666311 o.Driver.latencies.Stats.mean;
+  Alcotest.check float_exact "latency p95" 0.82249929999999816 o.Driver.latencies.Stats.p95;
+  Alcotest.(check (pair int int)) "shadow" (176, 752711783) (shadow_fingerprint o);
+  match Driver.verify o with Ok () -> () | Error e -> Alcotest.fail (List.hd e)
+
+(* A round cap that leaves six scripts unfinished: the traced
+   "stuck script" notes, block reasons included, are pinned as text. *)
+let test_golden_stuck_notes () =
+  let c = Cluster.create ~trace:true ~seed:3 ~pool_capacity:16 ~nodes:3 Config.default in
+  let pages = Cluster.allocate_pages c ~owner:0 ~count:4 in
+  let rng = Rng.create 3 in
+  let scripts =
+    Generators.hotspot rng ~pages ~clients:[ 1; 2 ] ~txns_per_client:3
+      ~mix:{ Generators.default_mix with theta = 0.9; update_fraction = 1.0 }
+  in
+  let o = Driver.run (Engine.of_cluster c) ~mpl:2 ~max_rounds:12 scripts in
+  let notes =
+    List.filter_map
+      (fun (e : Repro_obs.Event.t) ->
+        match (e.kind, e.attrs) with
+        | Repro_obs.Event.Note, [ ("msg", Repro_obs.Event.Str m) ]
+          when String.starts_with ~prefix:"stuck script" m ->
+          Some m
+        | _ -> None)
+      (Repro_obs.Recorder.events (Repro_sim.Env.obs (Cluster.env c)))
+  in
+  Alcotest.(check int) "stuck" 6 o.Driver.stuck;
+  Alcotest.(check int) "sched events" 38 o.Driver.sched_events;
+  Alcotest.(check (list string)) "stuck notes"
+    [
+      "stuck script 0 (txn=1) at node 1 step 1 retries 0: lock conflict with T3";
+      "stuck script 1 (txn=-) at node 1 step 0 retries 1: ";
+      "stuck script 2 (txn=5) at node 1 step 0 retries 0: lock conflict with T1";
+      "stuck script 3 (txn=-) at node 2 step 0 retries 1: lock conflict with T2";
+      "stuck script 4 (txn=4) at node 2 step 0 retries 0: lock conflict with T1";
+      "stuck script 5 (txn=6) at node 2 step 0 retries 0: lock conflict with T1";
+    ]
+    notes
 
 (* Eight-frame pools over 80 pages with remote traffic and a
    crash/recover: thousands of evictions, so this fixes the victim
@@ -333,4 +395,6 @@ let suite =
     ("golden: detect policy, mpl cap, savepoints", `Quick, test_golden_detect_mpl_savepoints);
     ("golden: group commit", `Quick, test_golden_group_commit);
     ("golden: eviction pressure", `Quick, test_golden_eviction_pressure);
+    ("golden: mpl 2, crash while scripts wait", `Quick, test_golden_mpl_parked_crash);
+    ("golden: stuck-script notes", `Quick, test_golden_stuck_notes);
   ]
