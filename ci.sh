@@ -1,6 +1,7 @@
 #!/bin/sh
 # Local CI: build, formatting check (when ocamlformat is installed),
-# tests, and an optional randomized stress sweep.
+# lint, tests, the experiment byte-identity gate, and an optional
+# randomized stress sweep.
 #
 #   STRESS_RUNS=N ./ci.sh    additionally runs N randomized crash/verify
 #                            stress iterations, once clean and once with
@@ -46,6 +47,23 @@ fi
 
 echo "== dune runtest =="
 dune runtest
+
+# Identity gate: every experiment is seeded, so `cblsim experiment --json`
+# is a fixed byte string.  A refactor must leave it unchanged; a change
+# that alters simulated results on purpose re-records the digest.
+echo "== identity gate: cblsim experiment --json vs test/experiment_json.sha256 =="
+expected=$(cat test/experiment_json.sha256)
+actual=$(dune exec bin/cblsim.exe -- experiment --json | sha256sum | cut -d' ' -f1)
+if [ "$actual" != "$expected" ]; then
+  cat >&2 <<EOF
+cblsim experiment --json changed: sha256 $actual, recorded $expected.
+If this change was meant to keep every output identical, find what moved.
+If it changes simulated results on purpose, re-record the digest with
+  dune exec bin/cblsim.exe -- experiment --json | sha256sum | cut -d' ' -f1 > test/experiment_json.sha256
+and say so, with the reason, in CHANGES.md.
+EOF
+  exit 1
+fi
 
 if [ "$STRESS_RUNS" -gt 0 ]; then
   echo "== stress: $STRESS_RUNS clean runs =="

@@ -39,22 +39,14 @@ let txn_log t =
 
 (* WAL discipline before a dirty page copy leaves the node.  Under the
    server-logging baseline the client has no durable log — its records
-   travel at commit (ARIES/CSA); see DESIGN.md for the simplification. *)
+   travel at commit (ARIES/CSA); see DESIGN.md for the simplification.
+   The force also completes any group-commit batch members it made
+   durable: the log runs that sweep after every force. *)
 let wal_force t lsn =
-  if not (Lsn.is_nil lsn) then
-    match t.scheme with
-    | Local_logging | Pca_double_logging ->
-      Log_manager.force t.log ~upto:lsn;
-      (* Any force pushes durability to the device end, so commit
-         records sitting in the group-commit batch just became durable:
-         complete them now rather than letting them be reported pending
-         (a crash can no longer lose them, and a retry would
-         double-apply). *)
-      Group_commit.on_force t.gc
-    | Global_log { log_node } ->
-      let ln = peer t log_node in
-      Log_manager.force ln.log ~upto:lsn
-    | Server_logging _ -> ()
+  match t.scheme with
+  | Server_logging _ -> ()
+  | Local_logging | Pca_double_logging | Global_log _ ->
+    if not (Lsn.is_nil lsn) then Log_manager.force (txn_log t) ~upto:lsn
 
 (* ------------------------------------------------------------------ *)
 (* Database population (owner role)                                    *)
@@ -714,10 +706,7 @@ let free_log_space t =
   in
   (* Space below the low-water mark is only reclaimable once durable
      (the device clamps truncation at the forced boundary). *)
-  if low_water > Log_manager.durable_lsn t.log then begin
-    Log_manager.force t.log ~upto:(low_water - 1);
-    Group_commit.on_force t.gc
-  end;
+  if low_water > Log_manager.durable_lsn t.log then Log_manager.force t.log ~upto:(low_water - 1);
   Log_manager.truncate_to t.log low_water
 
 let append_record t record =
@@ -887,8 +876,7 @@ let commit_scheme_work t (txn : Txn.t) lsn =
     (* The paper's entire commit path: one local log force, zero
        messages.  The group-commit batch is always empty here —
        batching commits take the [Committing] branch in [commit]
-       instead — and the force-sweeps-batch invariant is checked
-       interprocedurally (ipc-force-sweep), so no local sweep. *)
+       instead. *)
     Log_manager.force t.log ~upto:lsn
   | Server_logging { server } ->
     (* ARIES/CSA: the transaction's log records travel to the server in
@@ -1007,19 +995,16 @@ let observe_lock_hold t (txn : Txn.t) =
     txn.Txn.locks_from <- -1.
   end
 
-(* Register the pages a committing transaction released early: later
-   acquirers of these pages pick up a commit dependency on [txn] (see
+(* Register a page a committing transaction released early: later
+   acquirers of the page pick up a commit dependency on [txn] (see
    [acquire]).  Newest releaser wins per page — a chain A -> B -> C
    stays connected because B recorded its dependency on A before
    overwriting A's entry. *)
-let elr_record_release t ~txn released =
-  List.iter
-    (fun (pid, _mode) ->
-      Page_id.Tbl.replace t.elr_pages pid txn;
-      match Hashtbl.find_opt t.elr_by_txn txn with
-      | Some pids -> Hashtbl.replace t.elr_by_txn txn (pid :: pids)
-      | None -> Hashtbl.add t.elr_by_txn txn [ pid ])
-    released
+let elr_record_release t ~txn pid =
+  Page_id.Tbl.replace t.elr_pages pid txn;
+  match Hashtbl.find_opt t.elr_by_txn txn with
+  | Some pids -> Hashtbl.replace t.elr_by_txn txn (pid :: pids)
+  | None -> Hashtbl.add t.elr_by_txn txn [ pid ]
 
 (* The releaser reached its terminal state (durable commit, or wiped by
    a crash): its pages stop breeding dependencies.  The equality check
@@ -1044,8 +1029,10 @@ let elr_settle t txn =
    lock-table tracer). *)
 let early_lock_release t (txn : Txn.t) =
   observe_lock_hold t txn;
-  let released = Local_locks.release_txn_early t.locks ~txn:txn.Txn.id in
-  elr_record_release t ~txn:txn.Txn.id released;
+  let released =
+    Local_locks.release_txn_early t.locks ~txn:txn.Txn.id
+      ~record:(elr_record_release t ~txn:txn.Txn.id)
+  in
   if Env.tracing t.env && released <> [] then
     Env.emit t.env ~node:t.id Event.Lock_early_release
       [ ("txn", Event.Int txn.Txn.id); ("pages", Event.Int (List.length released)) ]
@@ -1229,14 +1216,15 @@ let checkpoint t =
      below makes the commit durable too — analysis never needs it as a
      loser once this checkpoint is the restart point. *)
   ignore
-    (Repro_aries.Checkpoint.take t.log t.env t.metrics ~gc:t.gc ~dpt:(Dpt.snapshot t.dpt)
+    (Repro_aries.Checkpoint.take t.log t.env t.metrics ~dpt:(Dpt.snapshot t.dpt)
        ~active:(Txn_table.snapshot_active t.txns) ~master:t.master
        ~on_before_master:(fun () ->
-         (* [Checkpoint.take ~gc] has already swept the force it took:
-            piggybacked pending commits completed BEFORE this crash
-            point can fire — their records are durable now, and
-            dropping them as "pending" at the crash would let the
-            driver retry a transaction that recovery will also redo. *)
+         (* The checkpoint's force has already completed the pending
+            commits it covered (the log sweeps the batch after every
+            force), BEFORE this crash point can fire — their records
+            are durable now, and dropping them as "pending" at the
+            crash would let the driver retry a transaction that
+            recovery will also redo. *)
          maybe_crashpoint t Repro_fault.Injector.Checkpoint))
 
 let install_recovered_page t page ~waiters =

@@ -684,9 +684,10 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
                (§2.3.1: pages in the cache of some node contain all the
                updates performed before the owner's crash).  The ship
                follows the WAL rule like any other: the cacher's log is
-               forced up to the copy's last update first, and the cacher
-               records the replacement so the eventual flush ack settles
-               its DPT entry. *)
+               forced up to the copy's last update first (completing
+               any of its pending group commits the force covered),
+               and the cacher records the replacement so the eventual
+               flush ack settles its DPT entry. *)
             recovery_exchange n ~dst:m.id (fun () ->
                 send n ~dst:m.id ~recovery:true ~bytes:Wire.control ();
                 let frame =
@@ -695,12 +696,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
                   | None -> assert false
                 in
                 if frame.Buffer_pool.dirty && not (Lsn.is_nil frame.Buffer_pool.last_lsn)
-                then begin
-                  Log_manager.force m.log ~upto:frame.Buffer_pool.last_lsn;
-                  (* the survivor's force may have made its own pending
-                     group-commit batch durable *)
-                  Repro_wal.Group_commit.on_force m.gc
-                end;
+                then Log_manager.force m.log ~upto:frame.Buffer_pool.last_lsn;
                 send m ~dst:n.id ~recovery:true ~bytes:(Wire.page (Env.config n.env)) ();
                 bump_transfers n;
                 (* The cacher keeps its (possibly dirty) copy and therefore
@@ -751,10 +747,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
             List.iter
               (fun c ->
                 let m = c.claimant in
-                if m.up then begin
-                  Log_manager.force_all m.log;
-                  Repro_wal.Group_commit.on_force m.gc
-                end)
+                if m.up then Log_manager.force_all m.log)
               claims;
             match claims with
             | [] ->
@@ -909,7 +902,6 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
           (fun n ->
             Node.maybe_crashpoint n Injector.Recovery_checkpoint;
             Log_manager.force_all n.log;
-            Repro_wal.Group_commit.on_force n.gc;
             Node.checkpoint n)
           crashed);
   List.iter (fun n -> tracef n "recovery(%d): complete" n.id) crashed;

@@ -5,21 +5,17 @@
    [order]).
 
    Facts per node:
-   - [may_cover.*]: a sweep / ELR-record / RNG-seed site is reachable
-     from this node (itself included) — the absorbing side of each
-     pairing rule.
+   - [may_seed]: an RNG-seed site is reachable from this node (itself
+     included) — the absorbing side of the draw/seed pairing.
    - [escaping]: retryable raise sites that can escape this node: its
      own unhandled raises plus callees' escaping raises not covered by
      this node's handler labels.
-   - [uncovered.*]: force / early-release / RNG-draw sites with no
-     absorber at or below this node, flowing caller-ward until some
-     ancestor absorbs them; whatever is still uncovered at the graph
-     roots is a violation. *)
+   - [uncovered_rng]: RNG-draw sites with no seed at or below this
+     node, flowing caller-ward until some ancestor seeds; whatever is
+     still uncovered at the graph roots is a violation. *)
 
 type config = {
-  force_impl : string list;  (** files that ARE the force layer: exempt sites *)
-  elr_impl : string list;
-  rng_impl : string list;
+  rng_impl : string list;  (** files that ARE the RNG layer: exempt sites *)
   raise_impl : string list;  (** the Block module itself *)
   checked : string -> bool;  (** which files' sites are police-able (lib/) *)
 }
@@ -35,7 +31,7 @@ type cov_site = {
   c_file : string;
   c_loc : Summary.loc;
   c_fn : string;
-  c_what : string;  (** the force/draw/release identifier, for messages *)
+  c_what : string;  (** the draw identifier, for messages *)
 }
 
 module RS = Set.Make (struct
@@ -52,15 +48,11 @@ end)
 
 type t = {
   graph : Callgraph.t;
-  may_sweep : bool array;
-  may_elr_record : bool array;
   may_seed : bool array;
   escaping : RS.t array;
   handled : (string * int * int * Summary.exn_label, unit) Hashtbl.t;
       (** raise-site keys some caller's handler covers *)
   raise_sites : raise_site list;  (** all police-able raise sites *)
-  uncovered_force : CS.t array;
-  uncovered_elr : CS.t array;
   uncovered_rng : CS.t array;
   roots : int list;  (** fn nodes with in-degree 0, plus cycle entries *)
   passes : int;  (** fixpoint sweeps until stable, for the bench/debug dump *)
@@ -82,37 +74,33 @@ let direct config (g : Callgraph.t) id =
           { r_label = label; r_file = file; r_loc = loc; r_fn = n.Callgraph.name })
         n.Callgraph.field_raises
     in
-    (false, false, false, raises, [], [], [])
+    (false, raises, [])
   | Some fn ->
     let file = Option.value ~default:"" n.Callgraph.file in
     let checked = config.checked file in
-    let sweep = ref false and elr = ref false and seed = ref false in
-    let raises = ref [] and forces = ref [] and releases = ref [] and draws = ref [] in
+    let seed = ref false and raises = ref [] and draws = ref [] in
     List.iter
       (fun (s : Summary.site) ->
-        let cov what =
-          { c_file = file; c_loc = s.Summary.s_loc; c_fn = fn.Summary.fn_name; c_what = what }
-        in
         match s.Summary.kind with
-        | Summary.Sweep -> sweep := true
-        | Summary.Elr_record -> elr := true
         | Summary.Rng_seed _ -> seed := true
         | Summary.Raise { label } ->
           if checked && not (List.mem file config.raise_impl) then
             raises :=
               { r_label = label; r_file = file; r_loc = s.Summary.s_loc; r_fn = fn.Summary.fn_name }
               :: !raises
-        | Summary.Force { name } ->
-          if checked && not (List.mem file config.force_impl) then forces := cov name :: !forces
-        | Summary.Elr_release ->
-          if checked && not (List.mem file config.elr_impl) then
-            releases := cov "release_txn_early" :: !releases
         | Summary.Rng_draw { name } ->
           if checked && not (List.mem file config.rng_impl) then
-            draws := cov ("Rng." ^ name) :: !draws
+            draws :=
+              {
+                c_file = file;
+                c_loc = s.Summary.s_loc;
+                c_fn = fn.Summary.fn_name;
+                c_what = "Rng." ^ name;
+              }
+              :: !draws
         | Summary.Call _ | Summary.Field_call _ | Summary.Crashpoint _ -> ())
       fn.Summary.sites;
-    (!sweep, !elr, !seed, !raises, !forces, !releases, !draws)
+    (!seed, !raises, !draws)
 
 let run ?order config (g : Callgraph.t) =
   let n = Array.length g.Callgraph.nodes in
@@ -123,18 +111,16 @@ let run ?order config (g : Callgraph.t) =
     | Some fn -> fn.Summary.handled
     | None -> []
   in
-  let may_sweep = Array.init n (fun i -> let s, _, _, _, _, _, _ = dir.(i) in s) in
-  let may_elr_record = Array.init n (fun i -> let _, e, _, _, _, _, _ = dir.(i) in e) in
-  let may_seed = Array.init n (fun i -> let _, _, s, _, _, _, _ = dir.(i) in s) in
+  let may_seed = Array.init n (fun i -> let s, _, _ = dir.(i) in s) in
   let escaping =
     Array.init n (fun i ->
-        let _, _, _, raises, _, _, _ = dir.(i) in
+        let _, raises, _ = dir.(i) in
         RS.of_list
           (List.filter
              (fun r -> not (Summary.covers ~handled:(handled_of i) r.r_label))
              raises))
   in
-  (* Reachability bits and escaping sets to a joint fixpoint: all are
+  (* Reachability bit and escaping sets to a joint fixpoint: both are
      monotone, so sweeping until nothing changes terminates and the
      result is order-independent. *)
   let passes = ref 0 in
@@ -147,14 +133,6 @@ let run ?order config (g : Callgraph.t) =
         let handled = handled_of i in
         List.iter
           (fun s ->
-            if may_sweep.(s) && not may_sweep.(i) then begin
-              may_sweep.(i) <- true;
-              changed := true
-            end;
-            if may_elr_record.(s) && not may_elr_record.(i) then begin
-              may_elr_record.(i) <- true;
-              changed := true
-            end;
             if may_seed.(s) && not may_seed.(i) then begin
               may_seed.(i) <- true;
               changed := true
@@ -174,7 +152,7 @@ let run ?order config (g : Callgraph.t) =
      do.  Whatever no context ever covers is an exn-flow violation. *)
   let handled : (string * int * int * Summary.exn_label, unit) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
-    (fun i (_, _, _, raises, _, _, _) ->
+    (fun i (_, raises, _) ->
       let h = handled_of i in
       List.iter
         (fun r -> if Summary.covers ~handled:h r.r_label then Hashtbl.replace handled (raise_key r) ())
@@ -193,38 +171,30 @@ let run ?order config (g : Callgraph.t) =
           g.Callgraph.nodes.(i).Callgraph.succ)
       order;
   let raise_sites =
-    Array.to_list dir |> List.concat_map (fun (_, _, _, raises, _, _, _) -> raises)
+    Array.to_list dir |> List.concat_map (fun (_, raises, _) -> raises)
   in
-  (* Uncovered pairing sites flow caller-ward, absorbed wherever the
-     matching cover op is reachable. *)
-  let cov_fix may direct_of =
-    let unc =
-      Array.init n (fun i -> if may.(i) then CS.empty else CS.of_list (direct_of i))
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iter
-        (fun i ->
-          if not may.(i) then
-            List.iter
-              (fun s ->
-                if not (CS.subset unc.(s) unc.(i)) then begin
-                  unc.(i) <- CS.union unc.(s) unc.(i);
-                  changed := true
-                end)
-              g.Callgraph.nodes.(i).Callgraph.succ)
-        order
-    done;
-    unc
+  (* Unseeded draw sites flow caller-ward, absorbed wherever a seed is
+     reachable. *)
+  let uncovered_rng =
+    Array.init n (fun i ->
+        let _, _, draws = dir.(i) in
+        if may_seed.(i) then CS.empty else CS.of_list draws)
   in
-  let uncovered_force =
-    cov_fix may_sweep (fun i -> let _, _, _, _, f, _, _ = dir.(i) in f)
-  in
-  let uncovered_elr =
-    cov_fix may_elr_record (fun i -> let _, _, _, _, _, r, _ = dir.(i) in r)
-  in
-  let uncovered_rng = cov_fix may_seed (fun i -> let _, _, _, _, _, _, d = dir.(i) in d) in
+  changed := true;
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun i ->
+        if not may_seed.(i) then
+          List.iter
+            (fun s ->
+              if not (CS.subset uncovered_rng.(s) uncovered_rng.(i)) then begin
+                uncovered_rng.(i) <- CS.union uncovered_rng.(s) uncovered_rng.(i);
+                changed := true
+              end)
+            g.Callgraph.nodes.(i).Callgraph.succ)
+      order
+  done;
   (* Report roots: real functions nobody calls.  Nodes unreachable from
      any root (cycles without an entry) become pseudo-roots so their
      uncovered sites still surface. *)
@@ -251,14 +221,10 @@ let run ?order config (g : Callgraph.t) =
     g.Callgraph.nodes;
   {
     graph = g;
-    may_sweep;
-    may_elr_record;
     may_seed;
     escaping;
     handled;
     raise_sites;
-    uncovered_force;
-    uncovered_elr;
     uncovered_rng;
     roots = List.sort compare !roots;
     passes = !passes;
@@ -266,14 +232,11 @@ let run ?order config (g : Callgraph.t) =
 
 let is_handled t r = Hashtbl.mem t.handled (raise_key r)
 
-(* The union of a per-node uncovered map over the report roots, deduped
-   by site. *)
-let at_roots t unc =
-  List.fold_left (fun acc root -> CS.union acc unc.(root)) CS.empty t.roots |> CS.elements
-
-let violations_force t = at_roots t t.uncovered_force
-let violations_elr t = at_roots t t.uncovered_elr
-let violations_rng t = at_roots t t.uncovered_rng
+(* The union of the per-node uncovered draws over the report roots,
+   deduped by site. *)
+let violations_rng t =
+  List.fold_left (fun acc root -> CS.union acc t.uncovered_rng.(root)) CS.empty t.roots
+  |> CS.elements
 
 let unhandled_raises t = List.filter (fun r -> not (is_handled t r)) t.raise_sites
 
@@ -333,8 +296,6 @@ let to_json t =
     [
       ("passes", J.Int t.passes);
       ("roots", J.List (List.map (fun i -> J.Int i) t.roots));
-      bools "may_sweep" t.may_sweep;
-      bools "may_elr_record" t.may_elr_record;
       bools "may_seed" t.may_seed;
       ( "escaping",
         J.Obj

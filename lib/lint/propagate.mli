@@ -7,8 +7,6 @@
     that. *)
 
 type config = {
-  force_impl : string list;
-  elr_impl : string list;
   rng_impl : string list;
   raise_impl : string list;
   checked : string -> bool;
@@ -28,14 +26,10 @@ module CS : Set.S with type elt = cov_site
 
 type t = {
   graph : Callgraph.t;
-  may_sweep : bool array;
-  may_elr_record : bool array;
   may_seed : bool array;
   escaping : RS.t array;
   handled : (string * int * int * Summary.exn_label, unit) Hashtbl.t;
   raise_sites : raise_site list;
-  uncovered_force : CS.t array;
-  uncovered_elr : CS.t array;
   uncovered_rng : CS.t array;
   roots : int list;
   passes : int;
@@ -46,8 +40,6 @@ val run : ?order:int array -> config -> Callgraph.t -> t
 val is_handled : t -> raise_site -> bool
 val unhandled_raises : t -> raise_site list
 
-val violations_force : t -> cov_site list
-val violations_elr : t -> cov_site list
 val violations_rng : t -> cov_site list
 
 val handler_live : t -> Summary.file list -> rel:string -> Summary.handler -> bool

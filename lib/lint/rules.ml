@@ -76,25 +76,19 @@ let ends_with suffix s = String.ends_with ~suffix s
 (* Shared whole-repo analysis (phase 1 + 2), memoized per run          *)
 (* ------------------------------------------------------------------ *)
 
-(* The implementation layers each pairing rule exempts: the modules
-   that ARE the force (and the cost-charging layer below it) cannot
-   pair with the sweep without a dependency cycle — Group_commit wraps
-   Log_manager, not the other way round.  Likewise the lock manager is
-   the one place allowed a bare early release, the RNG module is where
-   draws are implemented, and Block is where the raises are minted. *)
+(* The implementation layers the interprocedural rules exempt: the RNG
+   module is where draws are implemented, and Block is where the raises
+   are minted. *)
 let analysis_config =
   {
-    Propagate.force_impl =
-      [ "lib/wal/group_commit.ml"; "lib/wal/log_manager.ml"; "lib/sim/env.ml" ];
-    elr_impl = [ "lib/lock/local_locks.ml" ];
-    rng_impl = [ "lib/util/rng.ml" ];
+    Propagate.rng_impl = [ "lib/util/rng.ml" ];
     raise_impl = [ "lib/core/block.ml" ];
     checked = in_lib;
   }
 
 type analysis = { files : Summary.file list; prop : Propagate.t }
 
-(* The five interprocedural rules share one analysis per [Lint.run]:
+(* The three interprocedural rules share one analysis per [Lint.run]:
    keyed on the physical ctx, which the engine builds fresh each run. *)
 let memo : (Lint.ctx * analysis) option ref = ref None
 
@@ -111,37 +105,7 @@ let analysis (ctx : Lint.ctx) =
     a
 
 (* ------------------------------------------------------------------ *)
-(* Rule 1: ipc-force-sweep (interprocedural force/sweep pairing)       *)
-(* ------------------------------------------------------------------ *)
-
-let report_cov ctx ~rule msg_of =
-  List.iter
-    (fun (c : Propagate.cov_site) ->
-      ctx.Lint.report ~rule ~file:c.Propagate.c_file ~line:c.Propagate.c_loc.Summary.line
-        ~col:c.Propagate.c_loc.Summary.col (msg_of c))
-
-let ipc_force_sweep =
-  {
-    Lint.id = "ipc-force-sweep";
-    doc =
-      "a log force outside the force-implementation layer must have a Group_commit.on_force \
-       sweep reachable in its call neighborhood — in the same function, a callee, or some \
-       caller up the graph (force-to-device-end invariant, interprocedural)";
-    check =
-      (fun ctx ->
-        let a = analysis ctx in
-        report_cov ctx ~rule:"ipc-force-sweep"
-          (fun c ->
-            Printf.sprintf
-              "%s in %s pairs with no reachable Group_commit.on_force sweep on any call \
-               path: pending group-commit records this force made durable would stay \
-               pending and be lost/retried"
-              c.Propagate.c_what c.Propagate.c_fn)
-          (Propagate.violations_force a.prop));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 2: swallowed-control-exn                                       *)
+(* Rule 1: swallowed-control-exn                                       *)
 (* ------------------------------------------------------------------ *)
 
 let swallowed_control_exn =
@@ -185,7 +149,7 @@ let swallowed_control_exn =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 3: rng-discipline                                              *)
+(* Rule 2: rng-discipline                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* The one module allowed to touch stdlib Random (today it does not
@@ -236,7 +200,7 @@ let rng_discipline =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 4: crashpoint-registry                                         *)
+(* Rule 3: crashpoint-registry                                         *)
 (* ------------------------------------------------------------------ *)
 
 let injector_files = [ "lib/fault/injector.ml"; "lib/fault/injector.mli" ]
@@ -358,7 +322,7 @@ let crashpoint_registry =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 5: no-poly-compare                                             *)
+(* Rule 4: no-poly-compare                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Identifier names that, in this codebase, denote mutable protocol
@@ -415,7 +379,7 @@ let no_poly_compare =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 6: no-unsafe-obj                                               *)
+(* Rule 5: no-unsafe-obj                                               *)
 (* ------------------------------------------------------------------ *)
 
 let no_unsafe_obj =
@@ -442,32 +406,7 @@ let no_unsafe_obj =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 7: ipc-elr-pairing (interprocedural ELR release/record)        *)
-(* ------------------------------------------------------------------ *)
-
-let ipc_elr_pairing =
-  {
-    Lint.id = "ipc-elr-pairing";
-    doc =
-      "an early lock release (Local_locks.release_txn_early) outside lib/lock must have an \
-       elr_record_release reachable in its call neighborhood — release and recording may \
-       live in different functions, but a release no caller or callee ever records would \
-       let later acquirers observe pre-durable state with no commit dependency";
-    check =
-      (fun ctx ->
-        let a = analysis ctx in
-        report_cov ctx ~rule:"ipc-elr-pairing"
-          (fun c ->
-            Printf.sprintf
-              "%s in %s pairs with no reachable elr_record_release on any call path: \
-               acquirers of these pages would observe pre-durable state with no commit \
-               dependency recorded"
-              c.Propagate.c_what c.Propagate.c_fn)
-          (Propagate.violations_elr a.prop));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 8: exn-flow                                                    *)
+(* Rule 6: exn-flow                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let exn_flow =
@@ -494,7 +433,7 @@ let exn_flow =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 9: dead-handler                                                *)
+(* Rule 7: dead-handler                                                *)
 (* ------------------------------------------------------------------ *)
 
 let dead_handler =
@@ -529,7 +468,7 @@ let dead_handler =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 10: rng-reachability                                           *)
+(* Rule 8: rng-reachability                                            *)
 (* ------------------------------------------------------------------ *)
 
 let rng_reachability =
@@ -542,12 +481,14 @@ let rng_reachability =
     check =
       (fun ctx ->
         let a = analysis ctx in
-        report_cov ctx ~rule:"rng-reachability"
-          (fun c ->
-            Printf.sprintf
-              "%s in %s is not reachable from any seeded root (no Rng.create/Rng.split in \
-               its call neighborhood): this stream escapes seed replay"
-              c.Propagate.c_what c.Propagate.c_fn)
+        List.iter
+          (fun (c : Propagate.cov_site) ->
+            ctx.Lint.report ~rule:"rng-reachability" ~file:c.Propagate.c_file
+              ~line:c.Propagate.c_loc.Summary.line ~col:c.Propagate.c_loc.Summary.col
+              (Printf.sprintf
+                 "%s in %s is not reachable from any seeded root (no Rng.create/Rng.split \
+                  in its call neighborhood): this stream escapes seed replay"
+                 c.Propagate.c_what c.Propagate.c_fn))
           (Propagate.violations_rng a.prop));
   }
 
@@ -555,13 +496,11 @@ let rng_reachability =
 
 let all =
   [
-    ipc_force_sweep;
     swallowed_control_exn;
     rng_discipline;
     crashpoint_registry;
     no_poly_compare;
     no_unsafe_obj;
-    ipc_elr_pairing;
     exn_flow;
     dead_handler;
     rng_reachability;

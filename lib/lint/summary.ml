@@ -3,14 +3,13 @@ open Parsetree
 (* Per-function effect summaries over the untyped AST: phase 1 of the
    whole-repo analysis.  Each top-level binding becomes one [fn] whose
    [sites] record every protocol-relevant effect inside it (raises of
-   the retryable control exceptions, log forces, group-commit sweeps,
-   early lock releases and their recording, RNG seeding and draws,
-   crash points) plus the intra-repo calls phase 2 resolves into graph
+   the retryable control exceptions, RNG seeding and draws, crash
+   points) plus the intra-repo calls phase 2 resolves into graph
    edges.  Summaries are plain serializable data so a digest-keyed
    cache can skip re-extraction of unchanged files. *)
 
 (* ------------------------------------------------------------------ *)
-(* Longident helpers (shared with the per-file rules)                  *)
+(* Longident helpers                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let rec components = function
@@ -59,10 +58,6 @@ type site_kind =
   | Call of { path : string list; applied : bool }
   | Field_call of { field : string }
   | Raise of { label : exn_label }
-  | Force of { name : string }
-  | Sweep
-  | Elr_release
-  | Elr_record
   | Rng_draw of { name : string }
   | Rng_seed of { name : string }
   | Crashpoint of { name : string }
@@ -106,13 +101,6 @@ type file = {
 (* ------------------------------------------------------------------ *)
 (* Effect-primitive classification                                     *)
 (* ------------------------------------------------------------------ *)
-
-let force_names = [ "force"; "force_all"; "force_shared" ]
-
-let is_force_ident lid =
-  let name = last_component lid in
-  (parent_module lid = Some "Log_manager" && List.mem name force_names)
-  || String.starts_with ~prefix:"charge_log_force" name
 
 let rng_draw_names =
   [ "next_int64"; "int"; "int_in_range"; "float"; "bool"; "chance"; "pick"; "shuffle" ]
@@ -231,28 +219,12 @@ let extract_body body =
   (* Classify one identifier occurrence.  [applied] distinguishes a
      call head from a bare mention (a value being passed/stored).
      Effect primitives ALSO record a [Call] site: the implementation
-     function behind e.g. [Group_commit.on_force] must receive graph
-     edges, or it would look like an uncalled root. *)
+     function behind e.g. [Rng.split] must receive graph edges, or it
+     would look like an uncalled root. *)
   let classify_ident ~applied ~args txt (loc : Location.t) =
     let name = last_component txt in
     let add_call () = add (Call { path = components txt; applied }) loc in
-    if is_force_ident txt then begin
-      if applied then add (Force { name }) loc;
-      add_call ()
-    end
-    else if name = "on_force" then begin
-      add Sweep loc;
-      add_call ()
-    end
-    else if name = "release_txn_early" then begin
-      add Elr_release loc;
-      add_call ()
-    end
-    else if name = "elr_record_release" then begin
-      add Elr_record loc;
-      add_call ()
-    end
-    else if parent_module txt = Some "Rng" && List.mem name rng_draw_names then begin
+    if parent_module txt = Some "Rng" && List.mem name rng_draw_names then begin
       add (Rng_draw { name }) loc;
       add_call ()
     end
@@ -484,10 +456,6 @@ let kind_to_json = function
       ]
   | Field_call { field } -> J.Obj [ ("k", J.Str "field_call"); ("field", J.Str field) ]
   | Raise { label } -> J.Obj [ ("k", J.Str "raise"); ("label", J.Str (label_name label)) ]
-  | Force { name } -> J.Obj [ ("k", J.Str "force"); ("name", J.Str name) ]
-  | Sweep -> J.Obj [ ("k", J.Str "sweep") ]
-  | Elr_release -> J.Obj [ ("k", J.Str "elr_release") ]
-  | Elr_record -> J.Obj [ ("k", J.Str "elr_record") ]
   | Rng_draw { name } -> J.Obj [ ("k", J.Str "rng_draw"); ("name", J.Str name) ]
   | Rng_seed { name } -> J.Obj [ ("k", J.Str "rng_seed"); ("name", J.Str name) ]
   | Crashpoint { name } -> J.Obj [ ("k", J.Str "crashpoint"); ("name", J.Str name) ]
@@ -508,10 +476,6 @@ let kind_of_json j =
   | Some "raise" ->
     Option.bind (str "label") (fun n ->
         Option.map (fun label -> Raise { label }) (label_of_name n))
-  | Some "force" -> Option.map (fun name -> Force { name }) (str "name")
-  | Some "sweep" -> Some Sweep
-  | Some "elr_release" -> Some Elr_release
-  | Some "elr_record" -> Some Elr_record
   | Some "rng_draw" -> Option.map (fun name -> Rng_draw { name }) (str "name")
   | Some "rng_seed" -> Option.map (fun name -> Rng_seed { name }) (str "name")
   | Some "crashpoint" -> Option.map (fun name -> Crashpoint { name }) (str "name")
@@ -623,7 +587,7 @@ let file_of_json j =
   in
   Some { rel; module_name; digest; aliases; opens; fns }
 
-let cache_version = 2
+let cache_version = 3
 
 let to_json files =
   J.Obj [ ("version", J.Int cache_version); ("files", J.List (List.map file_to_json files)) ]

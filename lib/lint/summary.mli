@@ -3,19 +3,11 @@
 
     Each top-level binding of every parsed [.ml] becomes one {!fn}
     recording the protocol-relevant effects inside it: raises and
-    handlers of the retryable control exceptions, log forces and
-    group-commit sweeps, early lock releases and their recording, RNG
-    seeding and draws, crash points, and the intra-repo calls that
+    handlers of the retryable control exceptions, RNG seeding and
+    draws, crash points, and the intra-repo calls that
     {!Callgraph} resolves into edges.  Summaries are plain serializable
     data so a digest-keyed cache can skip re-extraction of files whose
     text has not changed. *)
-
-(** {1 Longident helpers (shared with the per-file rules)} *)
-
-val components : Longident.t -> string list
-val last_component : Longident.t -> string
-val parent_module : Longident.t -> string option
-val is_force_ident : Longident.t -> bool
 
 (** {1 The summary lattice} *)
 
@@ -37,10 +29,6 @@ type site_kind =
   | Call of { path : string list; applied : bool }
   | Field_call of { field : string }
   | Raise of { label : exn_label }
-  | Force of { name : string }
-  | Sweep  (** a [Group_commit.on_force] mention *)
-  | Elr_release
-  | Elr_record
   | Rng_draw of { name : string }
   | Rng_seed of { name : string }
   | Crashpoint of { name : string }

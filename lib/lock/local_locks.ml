@@ -134,13 +134,13 @@ let release_txn t ~txn =
 (* Early release (controlled lock violation): surrender every txn-level
    lock [txn] holds at batch-submit time, BEFORE its commit record is
    durable — strict 2PL's release-after-terminal discipline weakened to
-   release-after-submit.  Returns the released (page, mode) pairs so the
-   caller can pair the release with commit-dependency registration;
-   without that pairing a later reader of these pages could become
-   durable while this commit is still lost to a crash.  The tracer
-   fires with action ["early_release"] per page, distinct from the
-   terminal ["release"], so the audit layer can tell the two apart. *)
-let release_txn_early t ~txn =
+   release-after-submit.  [record] registers each released page for
+   commit-dependency tracking before the lock goes; without it a later
+   reader of these pages could become durable while this commit is
+   still lost to a crash.  The tracer fires with action
+   ["early_release"] per page, distinct from the terminal ["release"],
+   so the audit layer can tell the two apart. *)
+let release_txn_early t ~txn ~record =
   let released =
     match Hashtbl.find_opt t.by_txn txn with
     | None -> []
@@ -152,7 +152,11 @@ let release_txn_early t ~txn =
           | None -> None)
         pids
   in
-  List.iter (fun (pid, _) -> t.tracer "early_release" pid) released;
+  List.iter
+    (fun (pid, _) ->
+      record pid;
+      t.tracer "early_release" pid)
+    released;
   release_txn t ~txn;
   released
 

@@ -74,13 +74,15 @@ val any_txn_holds : t -> Page_id.t -> bool
 val release_txn : t -> txn:int -> unit
 (** Strict 2PL release at end of transaction; cached modes persist. *)
 
-val release_txn_early : t -> txn:int -> (Page_id.t * Mode.t) list
+val release_txn_early :
+  t -> txn:int -> record:(Page_id.t -> unit) -> (Page_id.t * Mode.t) list
 (** Controlled lock violation: release [txn]'s locks at batch-submit
-    time, before its commit record is durable.  Returns the released
-    (page, mode) pairs — the caller MUST pair them with
-    commit-dependency registration so later readers/overwriters of
-    those pages cannot report durable while this commit can still be
-    lost.  Fires the tracer with action ["early_release"] per page. *)
+    time, before its commit record is durable.  [record] is called on
+    each released page before its lock goes — the node registers the
+    page for commit-dependency tracking there, so later
+    readers/overwriters of those pages cannot report durable while
+    this commit can still be lost.  Returns the released (page, mode)
+    pairs.  Fires the tracer with action ["early_release"] per page. *)
 
 val clear : t -> unit
 (** Node crash. *)

@@ -99,7 +99,8 @@ let event_txn (e : Event.t) =
 
 (* Invariant 2 helper: a force to durable boundary [d] covers every
    pending commit record that starts below it (forces always run to the
-   device end, mirroring [Group_commit.on_force]). *)
+   device end, and the log sweeps its group-commit batch after every
+   force). *)
 let complete_covered st ~node ~durable ~time =
   let done_ =
     Hashtbl.fold
@@ -132,7 +133,7 @@ let complete_covered st ~node ~durable ~time =
       Hashtbl.remove st.deps_fwd txn)
     done_
 
-let on_force st (e : Event.t) =
+let on_log_force st (e : Event.t) =
   match Event.attr_int e "durable" with
   | None -> ()
   | Some d ->
@@ -325,7 +326,7 @@ let[@warning "+4"] dispatch st (e : Event.t) =
   | Event.Msg_send -> ()
   | Event.Msg_recv -> ()
   | Event.Log_append -> check_terminal st "a log append" e
-  | Event.Log_force -> on_force st e
+  | Event.Log_force -> on_log_force st e
   | Event.Page_read -> ()
   | Event.Page_write -> ()
   | Event.Page_ship -> on_ship st e

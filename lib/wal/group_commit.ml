@@ -17,21 +17,6 @@ type t = {
   mutable on_lost : int list -> unit;
 }
 
-let create env ~node log =
-  let cfg = Env.config env in
-  {
-    env;
-    node;
-    log;
-    window = cfg.Config.group_commit_window_ms *. 1e-3;
-    max_batch = max 1 cfg.Config.group_commit_max_batch;
-    pending = [];
-    deadline = infinity;
-    before_force = (fun () -> ());
-    on_durable = (fun ~txn:_ ~submitted_at:_ -> ());
-    on_lost = (fun _ -> ());
-  }
-
 let set_hooks t ?(on_lost = fun _ -> ()) ~before_force ~on_durable () =
   t.before_force <- before_force;
   t.on_durable <- on_durable;
@@ -47,6 +32,48 @@ let deadline t = match t.pending with [] -> None | _ -> Some t.deadline
    submission order. *)
 let complete t batch =
   List.iter (fun p -> t.on_durable ~txn:p.txn ~submitted_at:p.submitted_at) (List.rev batch)
+
+let on_force t =
+  (* Forces are block-grained (they push the durable boundary to the
+     device end), so an incidental force — WAL before a page ship, a
+     checkpoint, recovery's pre-ship forces — makes every
+     already-appended pending commit record durable as a side effect.
+     Complete those now: the transactions would otherwise be reported
+     pending even though a crash could no longer lose them — and a
+     retry would then double-apply.  The log runs this after every
+     force (see [create]), so no force site can forget it. *)
+  match t.pending with
+  | [] -> ()
+  | _ ->
+    let durable = Log_manager.durable_lsn t.log in
+    let piggybacked, still = List.partition (fun p -> p.lsn < durable) t.pending in
+    if piggybacked <> [] then begin
+      t.pending <- still;
+      (match still with [] -> t.deadline <- infinity | _ -> ());
+      if Env.tracing t.env then
+        Env.emit t.env ~node:t.node Event.Commit_batch
+          [ ("size", Event.Int (List.length piggybacked)); ("piggyback", Event.Bool true) ];
+      complete t piggybacked
+    end
+
+let create env ~node log =
+  let cfg = Env.config env in
+  let t =
+    {
+      env;
+      node;
+      log;
+      window = cfg.Config.group_commit_window_ms *. 1e-3;
+      max_batch = max 1 cfg.Config.group_commit_max_batch;
+      pending = [];
+      deadline = infinity;
+      before_force = (fun () -> ());
+      on_durable = (fun ~txn:_ ~submitted_at:_ -> ());
+      on_lost = (fun _ -> ());
+    }
+  in
+  Log_manager.set_after_force log (fun () -> on_force t);
+  t
 
 let flush t =
   match t.pending with
@@ -74,28 +101,6 @@ let submit t ~txn ~lsn =
   if List.length t.pending >= t.max_batch then flush t
 
 let tick t ~now = if t.pending <> [] && now >= t.deadline then flush t
-
-let on_force t =
-  (* Forces on this node are block-grained (they push the durable
-     boundary to the device end), so an incidental force — WAL before a
-     page ship, a checkpoint — makes every already-appended pending
-     commit record durable as a side effect.  Complete those now: the
-     alternative (re-forcing later) would be a free no-op force, but
-     the transactions would be reported pending even though a crash
-     could no longer lose them — and a retry would then double-apply. *)
-  match t.pending with
-  | [] -> ()
-  | _ ->
-    let durable = Log_manager.durable_lsn t.log in
-    let piggybacked, still = List.partition (fun p -> p.lsn < durable) t.pending in
-    if piggybacked <> [] then begin
-      t.pending <- still;
-      (match still with [] -> t.deadline <- infinity | _ -> ());
-      if Env.tracing t.env then
-        Env.emit t.env ~node:t.node Event.Commit_batch
-          [ ("size", Event.Int (List.length piggybacked)); ("piggyback", Event.Bool true) ];
-      complete t piggybacked
-    end
 
 (* A crash loses the whole pending batch.  The loss hook fires with the
    dropped txn ids (oldest first) so the dependency layer can drag each

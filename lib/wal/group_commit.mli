@@ -14,10 +14,12 @@
     batch force loses the whole batch and recovery aborts every member.
     Completion (the [on_durable] hook) fires only once the commit
     record is behind the durable boundary — after the batch force, or
-    after any *other* force on the node (forces are block-grained and
-    push durability to the device end, so WAL-before-ship or checkpoint
-    forces complete pending commits as a free piggyback; see
-    {!on_force}).
+    after any *other* force of the log (forces are block-grained and
+    push durability to the device end, so WAL-before-ship, checkpoint
+    or recovery forces complete pending commits as a free piggyback).
+    The log itself runs that sweep after every force: {!create}
+    registers it with {!Log_manager.set_after_force}, so no force site
+    has to remember it.
 
     The module lives in [lib/wal] below the transaction layer, so it
     speaks int transaction ids and callbacks, never [Txn.t]. *)
@@ -27,7 +29,10 @@ type t
 val create : Repro_sim.Env.t -> node:int -> Log_manager.t -> t
 (** Reads the batching knobs from the environment's config.
     [group_commit_max_batch <= 1] disables batching: {!batching} is
-    [false] and callers use the classic synchronous force. *)
+    [false] and callers use the classic synchronous force.  Installs
+    the batch's sweep as the log's after-force callback: from then on
+    every force of the log completes, oldest first, each pending
+    transaction whose commit record the force made durable. *)
 
 val set_hooks :
   t ->
@@ -64,11 +69,6 @@ val tick : t -> now:float -> unit
 val deadline : t -> float option
 (** Simulated time at which the pending batch must flush; [None] when
     nothing is pending. *)
-
-val on_force : t -> unit
-(** Notify that *some* force ran on this node's log.  Completes every
-    pending transaction whose commit record the force covered
-    (piggyback completion).  Call after every force site. *)
 
 val pending_count : t -> int
 val pending_txns : t -> int list

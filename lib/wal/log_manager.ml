@@ -3,13 +3,21 @@ module Crc32 = Repro_util.Crc32
 module Env = Repro_sim.Env
 module Log_device = Repro_storage.Log_device
 
-type t = { env : Env.t; metrics : Repro_sim.Metrics.t; device : Log_device.t }
+type t = {
+  env : Env.t;
+  metrics : Repro_sim.Metrics.t;
+  device : Log_device.t;
+  mutable after_force : unit -> unit;
+}
 
 exception Log_full
 
 let header_size = 8
 
-let create env metrics ?capacity () = { env; metrics; device = Log_device.create ?capacity () }
+let create env metrics ?capacity () =
+  { env; metrics; device = Log_device.create ?capacity (); after_force = (fun () -> ()) }
+
+let set_after_force t f = t.after_force <- f
 
 let frame payload =
   let header =
@@ -40,7 +48,8 @@ let force t ~upto =
   if upto >= durable_lsn t then begin
     let moved = Log_device.force t.device ~upto:(end_lsn t) in
     if moved > 0 then Env.charge_log_force t.env t.metrics ~durable:(durable_lsn t) ~bytes:moved ()
-  end
+  end;
+  t.after_force ()
 
 let force_all t = force t ~upto:(end_lsn t - 1)
 
@@ -49,7 +58,8 @@ let force_shared t ~upto ~sharers =
     let moved = Log_device.force t.device ~upto:(end_lsn t) in
     if moved > 0 then
       Env.charge_log_force_shared t.env t.metrics ~durable:(durable_lsn t) ~bytes:moved ~sharers ()
-  end
+  end;
+  t.after_force ()
 
 let read_frame t lsn =
   if lsn < 0 || lsn + header_size > end_lsn t then

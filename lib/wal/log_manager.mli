@@ -24,9 +24,11 @@ val append : ?overdraft:bool -> t -> Record.t -> Lsn.t
     always fit (reserved undo space). *)
 
 val force : t -> upto:Lsn.t -> unit
-(** Makes all records at LSN <= [upto] durable.  Charges one log force
-    if any bytes actually move; a no-op (already durable) charges
-    nothing. *)
+(** Makes all records at LSN <= [upto] durable.  Forces are
+    block-grained: the durable boundary moves to the device end, past
+    [upto].  Charges one log force if any bytes actually move; a no-op
+    (already durable) charges nothing.  Runs the after-force callback
+    either way. *)
 
 val force_all : t -> unit
 
@@ -34,7 +36,15 @@ val force_shared : t -> upto:Lsn.t -> sharers:int -> unit
 (** Like {!force}, but the single physical force is accounted as shared
     by [sharers] concurrently committing transactions (group commit):
     one seek charge total, plus the [commit_batches]/[batched_commits]
-    counters.  A no-op (already durable) charges nothing. *)
+    counters.  A no-op (already durable) charges nothing.  Runs the
+    after-force callback either way. *)
+
+val set_after_force : t -> (unit -> unit) -> unit
+(** Installs the callback every force above runs on return.  The
+    default does nothing; the node's group-commit batch installs its
+    sweep here ({!Group_commit.create}), so whoever forces the log
+    completes every pending commit the force made durable.  A log has
+    one callback: a second call replaces the first. *)
 
 (** {1 Reading} *)
 

@@ -3,6 +3,9 @@
 module Lsn = Repro_wal.Lsn
 module Record = Repro_wal.Record
 module Log_manager = Repro_wal.Log_manager
+module Group_commit = Repro_wal.Group_commit
+module Checkpoint = Repro_aries.Checkpoint
+module Master = Repro_aries.Master
 module Page = Repro_storage.Page
 module Page_id = Repro_storage.Page_id
 module Codec = Repro_util.Codec
@@ -200,6 +203,67 @@ let test_log_manager_scan_counts () =
   ignore (Log_manager.fold log ~from:Lsn.nil ~init:() (fun () _ _ -> ()));
   Alcotest.(check int) "scan charged per record" 5 m.Metrics.recovery_log_records_scanned
 
+(* ---- Group commit: every force sweeps the pending batch ---- *)
+
+(* A log with a batching group commit whose completions are recorded
+   in order.  Nothing else forces it, so every completion below comes
+   from the force the test runs. *)
+let mk_batched () =
+  let env = Env.create (Config.with_group_commit Config.instant ~window_ms:10. ~max_batch:8) in
+  let metrics = Metrics.create () in
+  let log = Log_manager.create env metrics () in
+  let gc = Group_commit.create env ~node:0 log in
+  let completed = ref [] in
+  Group_commit.set_hooks gc
+    ~before_force:(fun () -> ())
+    ~on_durable:(fun ~txn ~submitted_at:_ -> completed := txn :: !completed)
+    ();
+  (env, metrics, log, gc, fun () -> List.rev !completed)
+
+let submit_commit log gc txn =
+  let lsn = Log_manager.append log (commit_record txn Lsn.nil) in
+  Group_commit.submit gc ~txn ~lsn;
+  lsn
+
+(* A bare force, with no sweep next to it, completes exactly the
+   members it made durable, oldest first.  A member appended after it
+   stays pending, with its window deadline, through a force that moves
+   nothing, until a force covers it. *)
+let test_bare_force_sweeps_batch () =
+  let env, _, log, gc, completed = mk_batched () in
+  let l1 = submit_commit log gc 1 in
+  let _l2 = submit_commit log gc 2 in
+  Alcotest.(check (list int)) "pending before the force" [ 1; 2 ] (Group_commit.pending_txns gc);
+  (* [upto] names only T1's record; the block-grained force covers T2 too *)
+  Log_manager.force log ~upto:l1;
+  Alcotest.(check (list int)) "covered members complete, oldest first" [ 1; 2 ] (completed ());
+  Alcotest.(check (option (float 0.))) "empty batch has no deadline" None (Group_commit.deadline gc);
+  let _l3 = submit_commit log gc 3 in
+  let deadline = Some (Env.now env +. 0.010) in
+  (* already durable: a no-op force covers nothing new *)
+  Log_manager.force log ~upto:l1;
+  Alcotest.(check (list int)) "uncovered member not completed" [ 1; 2 ] (completed ());
+  Alcotest.(check (list int)) "uncovered member still pending" [ 3 ] (Group_commit.pending_txns gc);
+  Alcotest.(check (option (float 1e-12))) "its deadline kept" deadline (Group_commit.deadline gc);
+  Log_manager.force_all log;
+  Alcotest.(check (list int)) "force_all completes it" [ 1; 2; 3 ] (completed ());
+  Alcotest.(check int) "batch empty" 0 (Group_commit.pending_count gc)
+
+(* The checkpoint bug shape: the checkpoint's force made the pending
+   commits durable, and a crash at the mid-checkpoint crash point must
+   not find them still pending (a retry would double-apply). *)
+let test_checkpoint_force_sweeps_before_master () =
+  let env, metrics, log, gc, completed = mk_batched () in
+  ignore (submit_commit log gc 1);
+  ignore (submit_commit log gc 2);
+  let pending_at_crash_point = ref [ -1 ] in
+  ignore
+    (Checkpoint.take log env metrics ~dpt:[] ~active:[] ~master:(Master.create ())
+       ~on_before_master:(fun () -> pending_at_crash_point := Group_commit.pending_txns gc));
+  Alcotest.(check (list int)) "nothing covered still pending at on_before_master" []
+    !pending_at_crash_point;
+  Alcotest.(check (list int)) "both completed, oldest first" [ 1; 2 ] (completed ())
+
 let suite =
   [
     ("lsn nil semantics", `Quick, test_lsn_nil);
@@ -214,4 +278,8 @@ let suite =
     ("log force idempotent charge", `Quick, test_log_manager_force_counts_once);
     ("log capacity and overdraft", `Quick, test_log_manager_capacity);
     ("log scan charging", `Quick, test_log_manager_scan_counts);
+    ("group commit: bare force sweeps the batch", `Quick, test_bare_force_sweeps_batch);
+    ( "group commit: checkpoint force sweeps before master",
+      `Quick,
+      test_checkpoint_force_sweeps_before_master );
   ]
