@@ -336,7 +336,9 @@ let read_plan file =
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
-  Fault_plan.of_json (Json.of_string s)
+  match Fault_plan.of_json (Json.of_string s) with
+  | Ok plan -> plan
+  | Error msg -> Fmt.failwith "--plan-json %s: %s" file msg
 
 let write_plan file plan =
   let oc = open_out file in

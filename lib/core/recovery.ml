@@ -36,12 +36,9 @@ let bump_redone n =
    of them at zero (every legacy plan) the injector suspends as before,
    keeping historical seeds bit-identical. *)
 let recovery_faults_on (plan : Fault_plan.t) =
-  let c = plan.Fault_plan.crashpoints in
-  c.Fault_plan.recovery_analysis > 0.
-  || c.Fault_plan.recovery_redo > 0.
-  || c.Fault_plan.recovery_pre_undo > 0.
-  || c.Fault_plan.recovery_undo > 0.
-  || c.Fault_plan.recovery_checkpoint > 0.
+  List.exists
+    (fun (p, prob) -> Fault_plan.is_recovery p && prob > 0.)
+    plan.Fault_plan.crashpoints.Fault_plan.probs
 
 (* Probe the Recovery_redo crash point once every [redo_crash_interval]
    applied redo records, not on every record: the interesting schedules
@@ -537,7 +534,7 @@ let rollback_loser n txn =
 let undo_losers n losers =
   List.iter
     (fun (l : Record.active_txn) ->
-      Node.maybe_crashpoint n Injector.Recovery_undo;
+      Node.maybe_crashpoint n Fault_plan.Recovery_undo;
       let txn = Txn.make ~id:l.txn ~node:n.id in
       txn.Txn.last_lsn <- l.last_lsn;
       Txn_table.register n.txns txn;
@@ -658,7 +655,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
   let losers_by_node =
     timed "analysis" (fun () ->
         let result = analysis_phase crashed in
-        List.iter (fun (n, _) -> Node.maybe_crashpoint n Injector.Recovery_analysis) result;
+        List.iter (fun (n, _) -> Node.maybe_crashpoint n Fault_plan.Recovery_analysis) result;
         result)
   in
   timed "lock_reconstruction" (fun () ->
@@ -843,7 +840,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
     let applied = ref 0 in
     fun (m : Node_state.t) ->
       incr applied;
-      if !applied mod redo_crash_interval = 0 then Node.maybe_crashpoint m Injector.Recovery_redo
+      if !applied mod redo_crash_interval = 0 then Node.maybe_crashpoint m Fault_plan.Recovery_redo
   in
   (match strategy with
   | Psn_coordinated ->
@@ -882,7 +879,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
       | Some b when List.mem b crashed_ids -> unpark_deferred ~owner ~pid
       | Some _ | None -> ())
     !completions;
-  List.iter (fun n -> Node.maybe_crashpoint n Injector.Recovery_pre_undo) crashed;
+  List.iter (fun n -> Node.maybe_crashpoint n Fault_plan.Recovery_pre_undo) crashed;
   (* Normal processing can resume; roll back the losers. *)
   List.iter (fun n -> n.up <- true) crashed;
   timed "undo" (fun () ->
@@ -900,7 +897,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
     timed "checkpoint" (fun () ->
         List.iter
           (fun n ->
-            Node.maybe_crashpoint n Injector.Recovery_checkpoint;
+            Node.maybe_crashpoint n Fault_plan.Recovery_checkpoint;
             Log_manager.force_all n.log;
             Node.checkpoint n)
           crashed);

@@ -820,18 +820,15 @@ let e12 ?(quick = false) () =
             Repro_fault.Fault_plan.none with
             Repro_fault.Fault_plan.seed = 900 + budget;
             crashpoints =
-              {
-                Repro_fault.Fault_plan.commit_force = 0.;
-                checkpoint = 0.;
-                page_ship = 0.;
-                rollback = 0.;
-                recovery_analysis = 0.15;
-                recovery_redo = 0.2;
-                recovery_pre_undo = 0.1;
-                recovery_undo = 0.15;
-                recovery_checkpoint = 0.1;
-                budget;
-              };
+              Repro_fault.Fault_plan.(
+                crashpoints ~budget
+                  [
+                    (Recovery_analysis, 0.15);
+                    (Recovery_redo, 0.2);
+                    (Recovery_pre_undo, 0.1);
+                    (Recovery_undo, 0.15);
+                    (Recovery_checkpoint, 0.1);
+                  ]);
           }
         in
         let faults = Repro_fault.Injector.create plan in

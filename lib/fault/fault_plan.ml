@@ -30,6 +30,54 @@ let classes_of_string s =
          (fun p -> p <> "")
          (List.map String.trim (String.split_on_char ',' s)))
 
+type point =
+  | Commit_force
+  | Checkpoint
+  | Page_ship
+  | Rollback
+  | Recovery_analysis
+  | Recovery_redo
+  | Recovery_pre_undo
+  | Recovery_undo
+  | Recovery_checkpoint
+
+(* Every constructor, in declaration order: plans, their JSON and
+   [generate] walk this list. *)
+let points =
+  [
+    Commit_force;
+    Checkpoint;
+    Page_ship;
+    Rollback;
+    Recovery_analysis;
+    Recovery_redo;
+    Recovery_pre_undo;
+    Recovery_undo;
+    Recovery_checkpoint;
+  ]
+
+(* One row per point: its trace name, whether it belongs to the
+   recovery class, and [generate]'s draw for it, [lo +. U(0, span)]. *)
+type info = { name : string; in_recovery : bool; lo : float; span : float }
+
+let info = function
+  | Commit_force -> { name = "commit-force"; in_recovery = false; lo = 0.002; span = 0.008 }
+  | Checkpoint -> { name = "checkpoint"; in_recovery = false; lo = 0.05; span = 0.20 }
+  | Page_ship -> { name = "page-ship"; in_recovery = false; lo = 0.001; span = 0.004 }
+  | Rollback -> { name = "rollback"; in_recovery = false; lo = 0.002; span = 0.010 }
+  | Recovery_analysis ->
+    { name = "recovery-analysis"; in_recovery = true; lo = 0.10; span = 0.25 }
+  | Recovery_redo -> { name = "recovery-redo"; in_recovery = true; lo = 0.01; span = 0.04 }
+  | Recovery_pre_undo ->
+    { name = "recovery-pre-undo"; in_recovery = true; lo = 0.05; span = 0.15 }
+  | Recovery_undo -> { name = "recovery-undo"; in_recovery = true; lo = 0.05; span = 0.15 }
+  | Recovery_checkpoint ->
+    { name = "recovery-checkpoint"; in_recovery = true; lo = 0.05; span = 0.15 }
+
+let point_name p = (info p).name
+let is_recovery p = (info p).in_recovery
+let json_key p = String.map (function '-' -> '_' | c -> c) (point_name p)
+
 type net = {
   drop : float;  (* per-message chance an attempt is lost on the wire *)
   max_drops : int;  (* lost attempts before a retransmission gets through *)
@@ -47,17 +95,17 @@ type disk = {
 }
 
 type crashpoints = {
-  commit_force : float;  (* commit record appended, force not yet issued *)
-  checkpoint : float;  (* checkpoint forced, master record not yet updated *)
-  page_ship : float;  (* dirty page copy about to leave the node *)
-  rollback : float;  (* between two undo steps of an abort *)
-  recovery_analysis : float;  (* restart: analysis done, redo not started *)
-  recovery_redo : float;  (* restart: probed every K applied redo records *)
-  recovery_pre_undo : float;  (* restart: redo complete, undo not started *)
-  recovery_undo : float;  (* restart: between two loser rollbacks *)
-  recovery_checkpoint : float;  (* restart: before the end-of-restart checkpoint *)
+  probs : (point * float) list;  (* every point once, in [points] order *)
   budget : int;  (* total injected crashes allowed per run *)
 }
+
+let crashpoints ~budget given =
+  {
+    probs = List.map (fun p -> (p, Option.value (List.assoc_opt p given) ~default:0.)) points;
+    budget;
+  }
+
+let prob c p = List.assoc p c.probs
 
 type t = { seed : int; net : net; disk : disk; crashpoints : crashpoints }
 
@@ -74,22 +122,7 @@ let quiet_net =
   }
 
 let quiet_disk = { torn = 0.; corrupt = 0. }
-
-let quiet_crashpoints =
-  {
-    commit_force = 0.;
-    checkpoint = 0.;
-    page_ship = 0.;
-    rollback = 0.;
-    recovery_analysis = 0.;
-    recovery_redo = 0.;
-    recovery_pre_undo = 0.;
-    recovery_undo = 0.;
-    recovery_checkpoint = 0.;
-    budget = 0;
-  }
-
-let none = { seed = 0; net = quiet_net; disk = quiet_disk; crashpoints = quiet_crashpoints }
+let none = { seed = 0; net = quiet_net; disk = quiet_disk; crashpoints = crashpoints ~budget:0 [] }
 
 (* Draw a plan's magnitudes from [rng].  The plan carries its own seed:
    the injector replays bit-identically from the plan alone, whether the
@@ -118,37 +151,24 @@ let generate rng ~classes =
     if not want_disk then quiet_disk
     else { torn = 0.4 +. Rng.float rng 0.5; corrupt = Rng.float rng 1.0 }
   in
-  let crashpoints =
-    if not want_crashpoints then quiet_crashpoints
-    else
-      {
-        quiet_crashpoints with
-        commit_force = 0.002 +. Rng.float rng 0.008;
-        checkpoint = 0.05 +. Rng.float rng 0.20;
-        page_ship = 0.001 +. Rng.float rng 0.004;
-        rollback = 0.002 +. Rng.float rng 0.010;
-        budget = 1 + Rng.int rng 3;
-      }
+  (* One class's points, drawn last point first: the order in which the
+     record fields these draws once filled were evaluated, so
+     historical seeds keep their exact streams. *)
+  let draw ~recovery =
+    List.fold_left
+      (fun acc p ->
+        let { in_recovery; lo; span; _ } = info p in
+        if in_recovery <> recovery then acc else (p, lo +. Rng.float rng span) :: acc)
+      [] (List.rev points)
   in
+  let budget = if want_crashpoints then 1 + Rng.int rng 3 else 0 in
+  let protocol = if want_crashpoints then draw ~recovery:false else [] in
   (* The recovery-class draws come after every legacy draw, so a plan
      generated without the class consumes the exact stream older
      versions consumed — replays of historical seeds stay bit-identical. *)
-  let crashpoints =
-    if not want_recovery then crashpoints
-    else
-      let c =
-        {
-          crashpoints with
-          recovery_analysis = 0.10 +. Rng.float rng 0.25;
-          recovery_redo = 0.01 +. Rng.float rng 0.04;
-          recovery_pre_undo = 0.05 +. Rng.float rng 0.15;
-          recovery_undo = 0.05 +. Rng.float rng 0.15;
-          recovery_checkpoint = 0.05 +. Rng.float rng 0.15;
-        }
-      in
-      if want_crashpoints then c else { c with budget = 1 + Rng.int rng 3 }
-  in
-  { seed; net; disk; crashpoints }
+  let recovery = if want_recovery then draw ~recovery:true else [] in
+  let budget = if want_recovery && not want_crashpoints then 1 + Rng.int rng 3 else budget in
+  { seed; net; disk; crashpoints = crashpoints ~budget (protocol @ recovery) }
 
 (* ---- JSON (dump / replay) ---- *)
 
@@ -172,68 +192,57 @@ let to_json t =
         Json.Obj [ ("torn", Json.Float t.disk.torn); ("corrupt", Json.Float t.disk.corrupt) ] );
       ( "crashpoints",
         Json.Obj
-          [
-            ("commit_force", Json.Float t.crashpoints.commit_force);
-            ("checkpoint", Json.Float t.crashpoints.checkpoint);
-            ("page_ship", Json.Float t.crashpoints.page_ship);
-            ("rollback", Json.Float t.crashpoints.rollback);
-            ("recovery_analysis", Json.Float t.crashpoints.recovery_analysis);
-            ("recovery_redo", Json.Float t.crashpoints.recovery_redo);
-            ("recovery_pre_undo", Json.Float t.crashpoints.recovery_pre_undo);
-            ("recovery_undo", Json.Float t.crashpoints.recovery_undo);
-            ("recovery_checkpoint", Json.Float t.crashpoints.recovery_checkpoint);
-            ("budget", Json.Int t.crashpoints.budget);
-          ] );
+          (List.map (fun (p, f) -> (json_key p, Json.Float f)) t.crashpoints.probs
+          @ [ ("budget", Json.Int t.crashpoints.budget) ]) );
     ]
 
-let fnum j name ~default =
-  match Json.member name j with
-  | Some v -> (
-    match Json.to_float_opt v with
-    | Some f -> f
-    | None -> ( match Json.to_int_opt v with Some i -> float_of_int i | None -> default))
-  | None -> default
+exception Invalid of string
 
-let inum j name ~default =
-  match Option.bind (Json.member name j) Json.to_int_opt with Some v -> v | None -> default
+(* Every key of [j] must be one [to_json] writes, with a value of the
+   same kind: an object, a number, or an integer where [to_json] writes
+   one.  A missing key is fine: it reads as 0, so plans dumped before a
+   key existed still load. *)
+let rec check path template j =
+  let invalid path what =
+    let name = match path with [] -> "plan" | _ -> String.concat "." (List.rev path) in
+    raise (Invalid (Printf.sprintf "%s: %s" name what))
+  in
+  match (template, j) with
+  | Json.Obj known, Json.Obj kvs ->
+    List.iter
+      (fun (k, v) ->
+        match List.assoc_opt k known with
+        | Some t -> check (k :: path) t v
+        | None -> invalid (k :: path) "unknown key")
+      kvs
+  | Json.Obj _, _ -> invalid path "not an object"
+  | Json.Int _, v when Json.to_int_opt v = None -> invalid path "not an integer"
+  | Json.Float _, v when Json.to_float_opt v = None -> invalid path "not a number"
+  | _ -> ()
 
 let of_json j =
-  let seed = inum j "seed" ~default:0 in
-  let net =
-    match Json.member "net" j with
-    | None -> quiet_net
-    | Some n ->
+  match check [] (to_json none) j with
+  | exception Invalid msg -> Error msg
+  | () ->
+    let section name = Option.value (Json.member name j) ~default:(Json.Obj []) in
+    let num s k = Option.value (Option.bind (Json.member k s) Json.to_float_opt) ~default:0. in
+    let int s k = Option.value (Option.bind (Json.member k s) Json.to_int_opt) ~default:0 in
+    let n = section "net" and d = section "disk" and c = section "crashpoints" in
+    Ok
       {
-        drop = fnum n "drop" ~default:0.;
-        max_drops = inum n "max_drops" ~default:0;
-        dup = fnum n "dup" ~default:0.;
-        delay = fnum n "delay" ~default:0.;
-        max_delay = fnum n "max_delay" ~default:0.;
-        rto = fnum n "rto" ~default:0.;
-        partition = fnum n "partition" ~default:0.;
-        max_partition = inum n "max_partition" ~default:0;
+        seed = int j "seed";
+        net =
+          {
+            drop = num n "drop";
+            max_drops = int n "max_drops";
+            dup = num n "dup";
+            delay = num n "delay";
+            max_delay = num n "max_delay";
+            rto = num n "rto";
+            partition = num n "partition";
+            max_partition = int n "max_partition";
+          };
+        disk = { torn = num d "torn"; corrupt = num d "corrupt" };
+        crashpoints =
+          crashpoints ~budget:(int c "budget") (List.map (fun p -> (p, num c (json_key p))) points);
       }
-  in
-  let disk =
-    match Json.member "disk" j with
-    | None -> quiet_disk
-    | Some d -> { torn = fnum d "torn" ~default:0.; corrupt = fnum d "corrupt" ~default:0. }
-  in
-  let crashpoints =
-    match Json.member "crashpoints" j with
-    | None -> quiet_crashpoints
-    | Some c ->
-      {
-        commit_force = fnum c "commit_force" ~default:0.;
-        checkpoint = fnum c "checkpoint" ~default:0.;
-        page_ship = fnum c "page_ship" ~default:0.;
-        rollback = fnum c "rollback" ~default:0.;
-        recovery_analysis = fnum c "recovery_analysis" ~default:0.;
-        recovery_redo = fnum c "recovery_redo" ~default:0.;
-        recovery_pre_undo = fnum c "recovery_pre_undo" ~default:0.;
-        recovery_undo = fnum c "recovery_undo" ~default:0.;
-        recovery_checkpoint = fnum c "recovery_checkpoint" ~default:0.;
-        budget = inum c "budget" ~default:0;
-      }
-  in
-  { seed; net; disk; crashpoints }

@@ -14,6 +14,36 @@ val all_classes : classes
 val classes_of_string : string -> (classes, string) result
 (** Parses ["net,disk,crashpoints,recovery"], ["all"], ["none"] or [""]. *)
 
+(** {1 Crash points}
+
+    A crash point names a protocol window the injector may crash a node
+    in.  This type is the one declaration of them: the trace name, the
+    JSON key, the fault class and the {!generate} draw range all come
+    from one exhaustive match over it, so a new constructor does not
+    compile until it has all four. *)
+
+type point =
+  | Commit_force  (** commit record appended, force not yet issued *)
+  | Checkpoint  (** checkpoint forced, master record not yet updated *)
+  | Page_ship  (** dirty page copy about to leave the node *)
+  | Rollback  (** between two undo steps of an abort *)
+  | Recovery_analysis  (** restart: analysis done, redo not started *)
+  | Recovery_redo  (** restart: probed every K applied redo records *)
+  | Recovery_pre_undo  (** restart: redo complete, undo not started *)
+  | Recovery_undo  (** restart: between two loser rollbacks *)
+  | Recovery_checkpoint  (** restart: before the end-of-restart checkpoint *)
+
+val points : point list
+(** Every point, in constructor order. *)
+
+val point_name : point -> string
+(** The trace name, e.g. ["commit-force"]. *)
+
+val is_recovery : point -> bool
+(** Does the point fire inside recovery (the [recovery] fault class)? *)
+
+(** {1 Plans} *)
+
 type net = {
   drop : float;
   max_drops : int;
@@ -27,18 +57,15 @@ type net = {
 
 type disk = { torn : float; corrupt : float }
 
-type crashpoints = {
-  commit_force : float;
-  checkpoint : float;
-  page_ship : float;
-  rollback : float;
-  recovery_analysis : float;
-  recovery_redo : float;
-  recovery_pre_undo : float;
-  recovery_undo : float;
-  recovery_checkpoint : float;
-  budget : int;
+type crashpoints = private {
+  probs : (point * float) list;  (** every point once, in {!points} order *)
+  budget : int;  (** total injected crashes allowed per run *)
 }
+
+val crashpoints : budget:int -> (point * float) list -> crashpoints
+(** Points the list does not name get probability 0. *)
+
+val prob : crashpoints -> point -> float
 
 type t = { seed : int; net : net; disk : disk; crashpoints : crashpoints }
 
@@ -50,4 +77,10 @@ val generate : Repro_util.Rng.t -> classes:classes -> t
     quiet (zero probabilities). *)
 
 val to_json : t -> Repro_obs.Json.t
-val of_json : Repro_obs.Json.t -> t
+
+val of_json : Repro_obs.Json.t -> (t, string) result
+(** The inverse of {!to_json}.  A key [to_json] does not write, or a
+    value of the wrong kind (a non-number, a non-integer where an
+    integer belongs), is an [Error] naming the key.  A missing key reads
+    as 0, so plans dumped before the recovery class existed still
+    load. *)

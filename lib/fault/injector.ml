@@ -2,28 +2,6 @@ module Rng = Repro_util.Rng
 
 type verdict = { drops : int; delay : float }
 type torn = { keep : int; flip : int option }
-type point =
-  | Commit_force
-  | Checkpoint
-  | Page_ship
-  | Rollback
-  | Recovery_analysis
-  | Recovery_redo
-  | Recovery_pre_undo
-  | Recovery_undo
-  | Recovery_checkpoint
-
-let point_name = function
-  | Commit_force -> "commit-force"
-  | Checkpoint -> "checkpoint"
-  | Page_ship -> "page-ship"
-  | Rollback -> "rollback"
-  | Recovery_analysis -> "recovery-analysis"
-  | Recovery_redo -> "recovery-redo"
-  | Recovery_pre_undo -> "recovery-pre-undo"
-  | Recovery_undo -> "recovery-undo"
-  | Recovery_checkpoint -> "recovery-checkpoint"
-
 type stats = {
   mutable msgs_dropped : int;
   mutable msgs_duplicated : int;
@@ -160,19 +138,7 @@ let on_crash_tail t ~tail_len ~header ~first_framed =
 let crashpoint t point =
   if (not (active t)) || t.crash_budget <= 0 then false
   else begin
-    let c = t.plan.Fault_plan.crashpoints in
-    let p =
-      match point with
-      | Commit_force -> c.Fault_plan.commit_force
-      | Checkpoint -> c.Fault_plan.checkpoint
-      | Page_ship -> c.Fault_plan.page_ship
-      | Rollback -> c.Fault_plan.rollback
-      | Recovery_analysis -> c.Fault_plan.recovery_analysis
-      | Recovery_redo -> c.Fault_plan.recovery_redo
-      | Recovery_pre_undo -> c.Fault_plan.recovery_pre_undo
-      | Recovery_undo -> c.Fault_plan.recovery_undo
-      | Recovery_checkpoint -> c.Fault_plan.recovery_checkpoint
-    in
+    let p = Fault_plan.prob t.plan.Fault_plan.crashpoints point in
     (* Zero-probability points must not consume randomness: recovery
        probes run on plans generated before the recovery class existed,
        and a wasted draw there would shift every later fault decision. *)

@@ -98,7 +98,7 @@ let direct config (g : Callgraph.t) id =
                 c_what = "Rng." ^ name;
               }
               :: !draws
-        | Summary.Call _ | Summary.Field_call _ | Summary.Crashpoint _ -> ())
+        | Summary.Call _ | Summary.Field_call _ -> ())
       fn.Summary.sites;
     (!seed, !raises, !draws)
 

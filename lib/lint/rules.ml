@@ -96,8 +96,7 @@ let analysis (ctx : Lint.ctx) =
   match !memo with
   | Some (c, a) when c == ctx -> a
   | _ ->
-    let cache_file = Summary.default_cache_file ~root:ctx.Lint.root in
-    let files = Summary.of_sources ?cache_file ctx.Lint.sources in
+    let files = Summary.of_sources ctx.Lint.sources in
     let graph = Callgraph.build files in
     let prop = Propagate.run analysis_config graph in
     let a = { files; prop } in
@@ -200,129 +199,7 @@ let rng_discipline =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 3: crashpoint-registry                                         *)
-(* ------------------------------------------------------------------ *)
-
-let injector_files = [ "lib/fault/injector.ml"; "lib/fault/injector.mli" ]
-let fault_plan_files = [ "lib/fault/fault_plan.ml"; "lib/fault/fault_plan.mli" ]
-
-let type_decls_of ast =
-  let acc = ref [] in
-  let open Ast_iterator in
-  let it =
-    {
-      default_iterator with
-      type_declaration =
-        (fun self td ->
-          acc := td :: !acc;
-          default_iterator.type_declaration self td);
-    }
-  in
-  (match ast with
-  | Lint.Impl s -> it.structure it s
-  | Lint.Intf s -> it.signature it s);
-  !acc
-
-let crashpoint_registry =
-  {
-    Lint.id = "crashpoint-registry";
-    doc =
-      "crash points passed to maybe_crashpoint, the Injector.point constructors and the \
-       Fault_plan.crashpoints fields must agree (and every declared point must be exercised)";
-    check =
-      (fun ctx ->
-        (* Pass 1: the symbol table. *)
-        let declared = ref [] (* (ctor, loc), from Injector.point *)
-        and fields = ref [] (* (field, loc), from Fault_plan.crashpoints *)
-        and uses = ref [] (* (ctor, loc), maybe_crashpoint call sites *) in
-        List.iter
-          (fun { Lint.rel; ast } ->
-            if List.mem rel injector_files then
-              List.iter
-                (fun td ->
-                  if td.ptype_name.Asttypes.txt = "point" then
-                    match td.ptype_kind with
-                    | Ptype_variant ctors ->
-                      List.iter
-                        (fun cd ->
-                          let name = cd.pcd_name.Asttypes.txt in
-                          if not (List.mem_assoc name !declared) then
-                            declared := (name, cd.pcd_loc) :: !declared)
-                        ctors
-                    | _ -> ())
-                (type_decls_of ast);
-            if List.mem rel fault_plan_files then
-              List.iter
-                (fun td ->
-                  if td.ptype_name.Asttypes.txt = "crashpoints" then
-                    match td.ptype_kind with
-                    | Ptype_record labels ->
-                      List.iter
-                        (fun ld ->
-                          let name = ld.pld_name.Asttypes.txt in
-                          (* budget bounds the injector, it is not a point *)
-                          if name <> "budget" && not (List.mem_assoc name !fields) then
-                            fields := (name, ld.pld_loc) :: !fields)
-                        labels
-                    | _ -> ())
-                (type_decls_of ast);
-            match ast with
-            | Lint.Intf _ -> ()
-            | Lint.Impl structure ->
-              iter_exprs_in_structure
-                (fun e ->
-                  match e.pexp_desc with
-                  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-                    when last_component txt = "maybe_crashpoint" ->
-                    List.iter
-                      (fun (_, (arg : expression)) ->
-                        match arg.pexp_desc with
-                        | Pexp_construct ({ txt = ctor; loc }, None) ->
-                          uses := (last_component ctor, loc) :: !uses
-                        | _ -> ())
-                      args
-                  | _ -> ())
-                structure)
-          ctx.Lint.sources;
-        (* Pass 2: consistency.  Skipped entirely when the registry
-           modules are outside the linted path set. *)
-        if !declared <> [] && !fields <> [] then begin
-          let field_of ctor = String.lowercase_ascii ctor in
-          List.iter
-            (fun (ctor, loc) ->
-              if not (List.mem_assoc ctor !declared) then
-                Lint.report_loc ctx ~rule:"crashpoint-registry" loc
-                  (Printf.sprintf "crash point %s is not declared in Injector.point" ctor))
-            (List.rev !uses);
-          List.iter
-            (fun (ctor, loc) ->
-              if not (List.mem_assoc (field_of ctor) !fields) then
-                Lint.report_loc ctx ~rule:"crashpoint-registry" loc
-                  (Printf.sprintf
-                     "crash point %s has no %s probability field in Fault_plan.crashpoints \
-                      — plans cannot schedule it"
-                     ctor (field_of ctor));
-              if !uses <> [] && not (List.mem_assoc ctor !uses) then
-                Lint.report_loc ctx ~rule:"crashpoint-registry" loc
-                  (Printf.sprintf
-                     "crash point %s is declared but never passed to maybe_crashpoint: the \
-                      protocol window it names is not exercised"
-                     ctor))
-            (List.rev !declared);
-          List.iter
-            (fun (field, loc) ->
-              if not (List.exists (fun (ctor, _) -> field_of ctor = field) !declared) then
-                Lint.report_loc ctx ~rule:"crashpoint-registry" loc
-                  (Printf.sprintf
-                     "Fault_plan.crashpoints field %s has no matching Injector.point \
-                      constructor"
-                     field))
-            (List.rev !fields)
-        end);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 4: no-poly-compare                                             *)
+(* Rule 3: no-poly-compare                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Identifier names that, in this codebase, denote mutable protocol
@@ -379,7 +256,7 @@ let no_poly_compare =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 5: no-unsafe-obj                                               *)
+(* Rule 4: no-unsafe-obj                                               *)
 (* ------------------------------------------------------------------ *)
 
 let no_unsafe_obj =
@@ -406,7 +283,7 @@ let no_unsafe_obj =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 6: exn-flow                                                    *)
+(* Rule 5: exn-flow                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let exn_flow =
@@ -433,7 +310,7 @@ let exn_flow =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 7: dead-handler                                                *)
+(* Rule 6: dead-handler                                                *)
 (* ------------------------------------------------------------------ *)
 
 let dead_handler =
@@ -468,7 +345,7 @@ let dead_handler =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 8: rng-reachability                                            *)
+(* Rule 7: rng-reachability                                            *)
 (* ------------------------------------------------------------------ *)
 
 let rng_reachability =
@@ -498,7 +375,6 @@ let all =
   [
     swallowed_control_exn;
     rng_discipline;
-    crashpoint_registry;
     no_poly_compare;
     no_unsafe_obj;
     exn_flow;

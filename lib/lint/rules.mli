@@ -12,10 +12,6 @@
     - [rng-discipline] — stdlib [Random] only in the designated RNG
       module; no [Random.self_init]/[Unix.gettimeofday]/[Sys.time] in
       [lib/] (seed replay must stay bit-identical).
-    - [crashpoint-registry] — the crash points passed to
-      [Node.maybe_crashpoint], the [Injector.point] constructors and
-      the [Fault_plan.crashpoints] fields must agree (two-pass symbol
-      table).
     - [no-poly-compare] — no polymorphic [=]/[compare]/[Hashtbl.hash]
       on identifiers naming mutable protocol state (frames, pages,
       descriptors); use the module's explicit [equal].

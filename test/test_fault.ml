@@ -43,7 +43,7 @@ let test_plan_json_roundtrip () =
   for seed = 0 to 9 do
     let plan = Fault_plan.generate (Rng.create seed) ~classes:Fault_plan.all_classes in
     let dumped = Json.to_string (Fault_plan.to_json plan) in
-    let reloaded = Fault_plan.of_json (Json.of_string dumped) in
+    let reloaded = Result.get_ok (Fault_plan.of_json (Json.of_string dumped)) in
     Alcotest.(check string)
       "json round-trip is lossless" dumped
       (Json.to_string (Fault_plan.to_json reloaded))
@@ -58,32 +58,109 @@ let test_plan_json_recovery_fields () =
       Fault_plan.none with
       Fault_plan.seed = 77;
       crashpoints =
-        {
-          Fault_plan.commit_force = 0.;
-          checkpoint = 0.;
-          page_ship = 0.;
-          rollback = 0.;
-          recovery_analysis = 0.11;
-          recovery_redo = 0.22;
-          recovery_pre_undo = 0.33;
-          recovery_undo = 0.44;
-          recovery_checkpoint = 0.55;
-          budget = 3;
-        };
+        Fault_plan.(
+          crashpoints ~budget:3
+            [
+              (Recovery_analysis, 0.11);
+              (Recovery_redo, 0.22);
+              (Recovery_pre_undo, 0.33);
+              (Recovery_undo, 0.44);
+              (Recovery_checkpoint, 0.55);
+            ]);
     }
   in
-  let c = (Fault_plan.of_json (Json.of_string (Json.to_string (Fault_plan.to_json plan)))).Fault_plan.crashpoints in
-  Alcotest.(check (float 0.)) "analysis" 0.11 c.Fault_plan.recovery_analysis;
-  Alcotest.(check (float 0.)) "redo" 0.22 c.Fault_plan.recovery_redo;
-  Alcotest.(check (float 0.)) "pre-undo" 0.33 c.Fault_plan.recovery_pre_undo;
-  Alcotest.(check (float 0.)) "undo" 0.44 c.Fault_plan.recovery_undo;
-  Alcotest.(check (float 0.)) "checkpoint" 0.55 c.Fault_plan.recovery_checkpoint;
+  let c =
+    (Result.get_ok (Fault_plan.of_json (Json.of_string (Json.to_string (Fault_plan.to_json plan)))))
+      .Fault_plan.crashpoints
+  in
+  Alcotest.(check (float 0.)) "analysis" 0.11 (Fault_plan.prob c Fault_plan.Recovery_analysis);
+  Alcotest.(check (float 0.)) "redo" 0.22 (Fault_plan.prob c Fault_plan.Recovery_redo);
+  Alcotest.(check (float 0.)) "pre-undo" 0.33 (Fault_plan.prob c Fault_plan.Recovery_pre_undo);
+  Alcotest.(check (float 0.)) "undo" 0.44 (Fault_plan.prob c Fault_plan.Recovery_undo);
+  Alcotest.(check (float 0.)) "checkpoint" 0.55 (Fault_plan.prob c Fault_plan.Recovery_checkpoint);
   Alcotest.(check int) "budget" 3 c.Fault_plan.budget;
   (* generating with the recovery class actually arms them *)
   let gen = Fault_plan.generate (Rng.create 7) ~classes:{ Fault_plan.no_classes with Fault_plan.recovery = true } in
   Alcotest.(check bool) "generated recovery probabilities are live" true
-    (gen.Fault_plan.crashpoints.Fault_plan.recovery_analysis > 0.
-    && gen.Fault_plan.crashpoints.Fault_plan.recovery_redo > 0.)
+    (Fault_plan.prob gen.Fault_plan.crashpoints Fault_plan.Recovery_analysis > 0.
+    && Fault_plan.prob gen.Fault_plan.crashpoints Fault_plan.Recovery_redo > 0.)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let load path =
+  match Fault_plan.of_json (Json.of_string (read_file path)) with
+  | Ok plan -> plan
+  | Error msg -> Alcotest.failf "%s: %s" path msg
+
+let test_plan_json_pinned () =
+  (* plans/all.json and plans/recovery.json are [cblsim stress --runs 1
+     --dump-plan] outputs under --faults all and --faults recovery;
+     plans/pre_recovery.json is all.json without the recovery keys, the
+     shape plans had before the recovery class existed. *)
+  List.iter
+    (fun path ->
+      Alcotest.(check string)
+        (path ^ " re-prints byte for byte")
+        (read_file path)
+        (Json.to_string_pretty (Fault_plan.to_json (load path)) ^ "\n"))
+    [ "plans/all.json"; "plans/recovery.json" ];
+  let old = load "plans/pre_recovery.json" and all = load "plans/all.json" in
+  List.iter
+    (fun p ->
+      let expected =
+        if Fault_plan.is_recovery p then 0. else Fault_plan.prob all.Fault_plan.crashpoints p
+      in
+      Alcotest.(check (float 0.))
+        (Fault_plan.point_name p) expected
+        (Fault_plan.prob old.Fault_plan.crashpoints p))
+    Fault_plan.points;
+  Alcotest.(check bool) "everything else as in all.json" true
+    (old.Fault_plan.seed = all.Fault_plan.seed
+    && old.Fault_plan.net = all.Fault_plan.net
+    && old.Fault_plan.disk = all.Fault_plan.disk
+    && old.Fault_plan.crashpoints.Fault_plan.budget = all.Fault_plan.crashpoints.Fault_plan.budget)
+
+let test_plan_json_rejects_bad_shapes () =
+  (* A misspelled key or a non-number must not silently read as 0: the
+     replay would run a different plan than the one dumped. *)
+  let text = read_file "plans/all.json" in
+  let edit ~from ~into =
+    let i =
+      let rec find i = if String.sub text i (String.length from) = from then i else find (i + 1) in
+      find 0
+    in
+    String.sub text 0 i ^ into
+    ^ String.sub text (i + String.length from) (String.length text - i - String.length from)
+  in
+  List.iter
+    (fun (what, edited, key) ->
+      match Fault_plan.of_json (Json.of_string edited) with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error %S names %s" what msg key)
+          true
+          (String.starts_with ~prefix:key msg))
+    [
+      ( "misspelled crash point",
+        edit ~from:{|"commit_force"|} ~into:{|"comit_force"|},
+        "crashpoints.comit_force" );
+      ( "string probability",
+        edit ~from:{|"page_ship": 0.0021961087603964064|} ~into:{|"page_ship": "0.5"|},
+        "crashpoints.page_ship" );
+      ("unknown net key", edit ~from:{|"dup"|} ~into:{|"dupe"|}, "net.dupe");
+      ( "boolean disk value",
+        edit ~from:{|"torn": 0.54133225126775442|} ~into:{|"torn": true|},
+        "disk.torn" );
+      ( "fractional budget",
+        edit ~from:{|"budget": 2|} ~into:{|"budget": 2.5|},
+        "crashpoints.budget" );
+      ("unknown section", edit ~from:{|"disk"|} ~into:{|"disks"|}, "disks");
+    ]
 
 (* ---- Replay determinism ---- *)
 
@@ -142,7 +219,7 @@ let test_replay_from_dumped_plan () =
      from the parsed dump: the trace must be bit-identical, which is
      what makes the dump a complete repro artefact. *)
   let dumped = Json.to_string_pretty (Fault_plan.to_json plan) in
-  let reloaded = Fault_plan.of_json (Json.of_string dumped) in
+  let reloaded = Result.get_ok (Fault_plan.of_json (Json.of_string dumped)) in
   let c1, _ = run_scenario ~trace:true ~plan 12 in
   let c2, _ = run_scenario ~trace:true ~plan:reloaded 12 in
   Alcotest.(check string) "replay from dumped plan: identical trace" (trace_of c1) (trace_of c2)
@@ -285,18 +362,9 @@ let test_crashpoint_schedule () =
         Fault_plan.none with
         Fault_plan.seed = seed;
         crashpoints =
-          {
-            Fault_plan.commit_force = 0.05;
-            checkpoint = 0.2;
-            page_ship = 0.05;
-            rollback = 0.05;
-            recovery_analysis = 0.;
-            recovery_redo = 0.;
-            recovery_pre_undo = 0.;
-            recovery_undo = 0.;
-            recovery_checkpoint = 0.;
-            budget = 2;
-          };
+          Fault_plan.(
+            crashpoints ~budget:2
+              [ (Commit_force, 0.05); (Checkpoint, 0.2); (Page_ship, 0.05); (Rollback, 0.05) ]);
       }
     in
     let cluster, _ = run_scenario ~plan seed in
@@ -433,6 +501,8 @@ let suite =
     ("fault classes parse", `Quick, test_classes_of_string);
     ("plan JSON round-trip", `Quick, test_plan_json_roundtrip);
     ("plan JSON keeps recovery crash points", `Quick, test_plan_json_recovery_fields);
+    ("plan JSON: pinned dumps replay unchanged", `Quick, test_plan_json_pinned);
+    ("plan JSON: bad keys and values rejected", `Quick, test_plan_json_rejects_bad_shapes);
     ("replay: same plan, identical trace", `Quick, test_replay_identical);
     ("replay: from dumped plan JSON", `Quick, test_replay_from_dumped_plan);
     ("disarmed injector consumes no randomness", `Quick, test_unfaulted_rng_untouched);

@@ -1,6 +1,6 @@
 (* Tests for cbl-lint: every rule gets a positive (violation caught) and
    a negative (clean idiom passes) fixture, plus the suppression and
-   allowlist escape hatches and the cross-file crashpoint registry.
+   allowlist escape hatches.
 
    Fixtures are inline source strings written into a fresh temp tree
    whose layout mimics the repo (lib/..., bin/...), because most rules
@@ -99,156 +99,7 @@ let test_rng_negative () =
   in
   check_count "designated module and bin/ pass" "rng-discipline" 0 r
 
-(* ---- rule 3: crashpoint-registry (cross-file) ---- *)
-
-let injector_decl = "type point = Commit_force | Page_ship\n"
-
-let fault_plan_decl =
-  "type crashpoints = { commit_force : float; page_ship : float; budget : int }\n"
-
-let uses_both =
-  "let maybe_crashpoint _ _ = ()\n\
-   let exercise t =\n\
-  \  maybe_crashpoint t Injector.Commit_force;\n\
-  \  maybe_crashpoint t Injector.Page_ship\n"
-
-let test_crashpoint_consistent () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", injector_decl);
-        ("lib/fault/fault_plan.ml", fault_plan_decl);
-        ("lib/core/node.ml", uses_both);
-      ]
-  in
-  check_count "consistent registry passes" "crashpoint-registry" 0 r
-
-let test_crashpoint_undeclared_use () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", injector_decl);
-        ("lib/fault/fault_plan.ml", fault_plan_decl);
-        ("lib/core/node.ml", uses_both ^ "let extra t = maybe_crashpoint t Injector.Rollback\n");
-      ]
-  in
-  check_count "undeclared point at a call site flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_declared_unused () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", "type point = Commit_force | Page_ship | Checkpoint\n");
-        ( "lib/fault/fault_plan.ml",
-          "type crashpoints =\n\
-          \  { commit_force : float; page_ship : float; checkpoint : float; budget : int }\n" );
-        ("lib/core/node.ml", uses_both);
-      ]
-  in
-  check_count "declared-but-unexercised point flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_missing_field () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", injector_decl);
-        ("lib/fault/fault_plan.ml", "type crashpoints = { commit_force : float; budget : int }\n");
-        ("lib/core/node.ml", uses_both);
-      ]
-  in
-  check_count "point without a plan probability field flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_orphan_field () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", injector_decl);
-        ( "lib/fault/fault_plan.ml",
-          "type crashpoints =\n\
-          \  { commit_force : float; page_ship : float; rollback : float; budget : int }\n" );
-        ("lib/core/node.ml", uses_both);
-      ]
-  in
-  check_count "plan field without a constructor flagged" "crashpoint-registry" 1 r
-
-(* The recovery crash points are registry entries like any other: a
-   point missing from any ONE of the three sites — the [Injector.point]
-   constructor, the plan's probability field, the [maybe_crashpoint]
-   call site — must be flagged.  One fixture per missing site, plus the
-   consistent baseline. *)
-
-let recovery_injector_decl = "type point = Commit_force | Recovery_redo | Recovery_pre_undo\n"
-
-let recovery_plan_decl =
-  "type crashpoints =\n\
-  \  { commit_force : float; recovery_redo : float; recovery_pre_undo : float; budget : int }\n"
-
-let recovery_uses_all =
-  "let maybe_crashpoint _ _ = ()\n\
-   let exercise t =\n\
-  \  maybe_crashpoint t Injector.Commit_force;\n\
-  \  maybe_crashpoint t Injector.Recovery_redo;\n\
-  \  maybe_crashpoint t Injector.Recovery_pre_undo\n"
-
-let test_crashpoint_recovery_consistent () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", recovery_injector_decl);
-        ("lib/fault/fault_plan.ml", recovery_plan_decl);
-        ("lib/core/recovery.ml", recovery_uses_all);
-      ]
-  in
-  check_count "consistent recovery registry passes" "crashpoint-registry" 0 r
-
-let test_crashpoint_recovery_missing_ctor () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", "type point = Commit_force | Recovery_pre_undo\n");
-        ("lib/fault/fault_plan.ml", recovery_plan_decl);
-        ("lib/core/recovery.ml", recovery_uses_all);
-      ]
-  in
-  (* both the orphan plan field and the undeclared call site point at
-     the dropped constructor *)
-  check_count "recovery point without a constructor flagged" "crashpoint-registry" 2 r
-
-let test_crashpoint_recovery_missing_field () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", recovery_injector_decl);
-        ( "lib/fault/fault_plan.ml",
-          "type crashpoints =\n\
-          \  { commit_force : float; recovery_pre_undo : float; budget : int }\n" );
-        ("lib/core/recovery.ml", recovery_uses_all);
-      ]
-  in
-  check_count "recovery point without a plan probability flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_recovery_missing_probe () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", recovery_injector_decl);
-        ("lib/fault/fault_plan.ml", recovery_plan_decl);
-        ( "lib/core/recovery.ml",
-          "let maybe_crashpoint _ _ = ()\n\
-           let exercise t =\n\
-          \  maybe_crashpoint t Injector.Commit_force;\n\
-          \  maybe_crashpoint t Injector.Recovery_pre_undo\n" );
-      ]
-  in
-  check_count "recovery point never probed flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_skipped_without_registry () =
-  (* Registry modules outside the linted set: the rule stays silent
-     rather than flagging every use as undeclared. *)
-  let r = lint [ ("lib/core/node.ml", uses_both) ] in
-  check_count "no registry in scope, no findings" "crashpoint-registry" 0 r
-
-(* ---- rule 4: no-poly-compare ---- *)
+(* ---- rule 3: no-poly-compare ---- *)
 
 let test_poly_compare_positive () =
   let r =
@@ -270,7 +121,7 @@ let test_poly_compare_negative () =
   in
   check_count "explicit equal and non-state operands pass" "no-poly-compare" 0 r
 
-(* ---- rule 5: no-unsafe-obj ---- *)
+(* ---- rule 4: no-unsafe-obj ---- *)
 
 let test_unsafe_obj () =
   let r =
@@ -330,7 +181,7 @@ let test_allowlist () =
   Alcotest.(check int) "counted as allowlisted" 1 r.Lint.allowlisted;
   Alcotest.(check bool) "run is ok" true (Lint.ok r)
 
-(* ---- rule 6: exn-flow ---- *)
+(* ---- rule 5: exn-flow ---- *)
 
 let test_exn_flow_unreachable_handler () =
   (* A raise no context up the graph can catch. *)
@@ -378,7 +229,7 @@ let test_exn_flow_same_function_handler () =
   in
   check_count "own handler covers" "exn-flow" 0 r
 
-(* ---- rule 7: dead-handler ---- *)
+(* ---- rule 6: dead-handler ---- *)
 
 let test_dead_handler_positive () =
   (* Nothing the guarded body reaches can raise: retry boundary that
@@ -405,7 +256,7 @@ let test_dead_handler_unresolved_conservative () =
     lint [ ("lib/core/a.ml", "let f g = try g () with Block.Would_block _ -> 0\n") ] in
   check_count "unresolvable body stays live" "dead-handler" 0 r
 
-(* ---- rule 8: rng-reachability ---- *)
+(* ---- rule 7: rng-reachability ---- *)
 
 let test_rng_reachability_positive () =
   let r = lint [ ("lib/sim/gen.ml", "let pick rng =\n  Rng.int rng 10\n") ] in
@@ -543,11 +394,11 @@ let test_json_report_shape () =
     "files_scanned" (Some 1)
     (Option.bind (member "files_scanned") Json.to_int_opt);
   (match member "rules" with
-  | Some (Json.List rules) -> Alcotest.(check int) "eight rules" 8 (List.length rules)
+  | Some (Json.List rules) -> Alcotest.(check int) "seven rules" 7 (List.length rules)
   | _ -> Alcotest.fail "rules member missing");
   (match member "rule_seconds" with
   | Some (Json.Obj timings) ->
-    Alcotest.(check int) "one timing per rule" 8 (List.length timings);
+    Alcotest.(check int) "one timing per rule" 7 (List.length timings);
     Alcotest.(check (list string))
       "timings in registry order"
       (List.map (fun rule -> rule.Lint.id) Rules.all)
@@ -560,7 +411,7 @@ let test_json_report_shape () =
       (Option.bind (List.assoc_opt "rule" fields) Json.to_string_opt)
   | _ -> Alcotest.fail "findings member missing"
 
-(* ---- analysis phases directly: fixpoint and summary cache ---- *)
+(* ---- analysis phases directly: fixpoint and summary dump ---- *)
 
 module Summary = Repro_lint.Summary
 module Callgraph = Repro_lint.Callgraph
@@ -651,42 +502,28 @@ let prop_fixpoint_order_independent =
       projection (Propagate.run ~order:perm analysis_cfg g)
       = projection (Propagate.run analysis_cfg g))
 
-let test_summary_cache_roundtrip () =
+let test_dump_summaries_json () =
+  (* [cbl_lint --dump-summaries] prints [Summary.to_json]: it must be
+     strict JSON and carry every top-level function of the fixture. *)
   let root = fresh_root () in
   List.iter (write_file root) order_fixture;
-  let cache = Filename.concat root "summaries.json" in
   let _, sources, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let cold = Summary.of_sources ~cache_file:cache sources in
-  Alcotest.(check bool) "cache written on miss" true (Sys.file_exists cache);
-  let _, sources2, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let warm = Summary.of_sources ~cache_file:cache sources2 in
-  Alcotest.(check string) "cached summaries bit-identical"
-    (Json.to_string_pretty (Summary.to_json cold))
-    (Json.to_string_pretty (Summary.to_json warm))
-
-let test_summary_cache_stale_entry () =
-  let root = fresh_root () in
-  write_file root ("lib/core/a.ml", "let f () = 1\n");
-  let cache = Filename.concat root "summaries.json" in
-  let _, sources, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let _ = Summary.of_sources ~cache_file:cache sources in
-  (* The file changes: its digest misses, the summary must follow. *)
-  write_file root ("lib/core/a.ml", "let g () = 2\nlet h () = 3\n");
-  let _, sources2, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let files = Summary.of_sources ~cache_file:cache sources2 in
-  let a = List.find (fun f -> f.Summary.rel = "lib/core/a.ml") files in
-  Alcotest.(check (list string))
-    "stale entry re-extracted" [ "g"; "h" ]
-    (List.map (fun (fn : Summary.fn) -> fn.Summary.fn_name) a.Summary.fns)
-
-let test_summary_cache_corrupt_ignored () =
-  let root = fresh_root () in
-  List.iter (write_file root) order_fixture;
-  let cache = Filename.concat root "summaries.json" in
-  write_file root ("summaries.json", "{ not json !!\n");
-  let _, sources, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let files = Summary.of_sources ~cache_file:cache sources in
-  Alcotest.(check int) "corrupt cache only costs re-extraction" 3 (List.length files)
+  let dumped =
+    Json.of_string (Json.to_string_pretty (Summary.to_json (Summary.of_sources sources)))
+  in
+  let names_in file =
+    match Json.member "fns" file with
+    | Some (Json.List fns) ->
+      List.filter_map (fun fn -> Option.bind (Json.member "name" fn) Json.to_string_opt) fns
+    | _ -> Alcotest.fail "file without fns"
+  in
+  match Json.member "files" dumped with
+  | Some (Json.List files) ->
+    Alcotest.(check (list string))
+      "every function, in file order"
+      [ "ping"; "entry"; "pong"; "lone"; "probe"; "draw"; "run"; "stray" ]
+      (List.concat_map names_in files)
+  | _ -> Alcotest.fail "files member missing"
 
 let test_rule_registry () =
   List.iter
@@ -715,21 +552,6 @@ let suite =
     Alcotest.test_case "swallowed-control-exn: clean idioms pass" `Quick test_swallowed_negative;
     Alcotest.test_case "rng-discipline: violations flagged" `Quick test_rng_positive;
     Alcotest.test_case "rng-discipline: clean idioms pass" `Quick test_rng_negative;
-    Alcotest.test_case "crashpoint: consistent registry" `Quick test_crashpoint_consistent;
-    Alcotest.test_case "crashpoint: undeclared use" `Quick test_crashpoint_undeclared_use;
-    Alcotest.test_case "crashpoint: declared unused" `Quick test_crashpoint_declared_unused;
-    Alcotest.test_case "crashpoint: missing plan field" `Quick test_crashpoint_missing_field;
-    Alcotest.test_case "crashpoint: orphan plan field" `Quick test_crashpoint_orphan_field;
-    Alcotest.test_case "crashpoint: recovery registry consistent" `Quick
-      test_crashpoint_recovery_consistent;
-    Alcotest.test_case "crashpoint: recovery point missing ctor" `Quick
-      test_crashpoint_recovery_missing_ctor;
-    Alcotest.test_case "crashpoint: recovery point missing plan field" `Quick
-      test_crashpoint_recovery_missing_field;
-    Alcotest.test_case "crashpoint: recovery point never probed" `Quick
-      test_crashpoint_recovery_missing_probe;
-    Alcotest.test_case "crashpoint: silent without registry" `Quick
-      test_crashpoint_skipped_without_registry;
     Alcotest.test_case "no-poly-compare: state operands flagged" `Quick test_poly_compare_positive;
     Alcotest.test_case "no-poly-compare: clean idioms pass" `Quick test_poly_compare_negative;
     Alcotest.test_case "no-unsafe-obj: Obj in lib/ flagged" `Quick test_unsafe_obj;
@@ -767,10 +589,5 @@ let suite =
     Alcotest.test_case "engine: rule registry lookup" `Quick test_rule_registry;
     Alcotest.test_case "propagate: order fixture findings" `Quick test_order_fixture_findings;
     QCheck_alcotest.to_alcotest prop_fixpoint_order_independent;
-    Alcotest.test_case "summary cache: warm run bit-identical" `Quick
-      test_summary_cache_roundtrip;
-    Alcotest.test_case "summary cache: stale entry re-extracted" `Quick
-      test_summary_cache_stale_entry;
-    Alcotest.test_case "summary cache: corrupt cache ignored" `Quick
-      test_summary_cache_corrupt_ignored;
+    Alcotest.test_case "summary: JSON dump names every function" `Quick test_dump_summaries_json;
   ]

@@ -20,20 +20,15 @@ module Recovery = Repro_cbl.Recovery
 module Engine = Repro_workload.Engine
 module Driver = Repro_workload.Driver
 module Generators = Repro_workload.Generators
+module Env = Repro_sim.Env
+module Event = Repro_obs.Event
+module Recorder = Repro_obs.Recorder
 
 let recovery_points ?(budget = 0) p =
-  {
-    Fault_plan.commit_force = 0.;
-    checkpoint = 0.;
-    page_ship = 0.;
-    rollback = 0.;
-    recovery_analysis = p;
-    recovery_redo = p;
-    recovery_pre_undo = p;
-    recovery_undo = p;
-    recovery_checkpoint = p;
-    budget;
-  }
+  Fault_plan.crashpoints ~budget
+    (List.filter_map
+       (fun pt -> if Fault_plan.is_recovery pt then Some (pt, p) else None)
+       Fault_plan.points)
 
 (* Every node increments every page once, owner 0 committing last: after
    crashing 0 (and optionally 2) the current copies live nowhere and the
@@ -193,6 +188,131 @@ let test_deferred_pages_complete_on_peer_restart () =
     (read_all cluster pages ~node:1);
   Cluster.check_invariants cluster
 
+(* ---- Every crash point fires ---- *)
+
+(* Each crash point is probed at one or more sites; this test is what
+   keeps every site reachable.  For every point, each workload below
+   that names it runs under a plan arming that point alone (probability
+   1, budget 1) and must fire exactly one [fault.crash], naming the
+   point.  A point no workload names fails the test, and so does any
+   single probe site deleted from the protocol code. *)
+
+let arm_only point =
+  Injector.create
+    {
+      Fault_plan.none with
+      Fault_plan.seed = 5;
+      crashpoints = Fault_plan.crashpoints ~budget:1 [ (point, 1.0) ];
+    }
+
+let attempt f = try f () with Block.Would_block _ -> ()
+
+(* Two nodes, node 0 owning the pages, two-frame pools: node 1 writing
+   three of node 0's pages must evict and ship a dirty one. *)
+let two_nodes ?(config = Config.instant) faults =
+  let cluster = Cluster.create ~trace:true ~seed:3 ~faults ~nodes:2 ~pool_capacity:2 config in
+  (cluster, Cluster.allocate_pages cluster ~owner:0 ~count:3)
+
+let update_all cluster ~txn pages =
+  List.iter (fun pid -> Cluster.update_delta cluster ~txn ~pid ~off:0 1L) pages
+
+let commit faults =
+  let cluster, pages = two_nodes faults in
+  let txn = Cluster.begin_txn cluster ~node:0 in
+  update_all cluster ~txn [ List.hd pages ];
+  attempt (fun () -> Cluster.commit cluster ~txn);
+  cluster
+
+(* The batch force's own probe: the commit is submitted with the
+   injector off, so only the timer-driven force can fire. *)
+let batch_force faults =
+  let config = Config.with_group_commit Config.instant ~window_ms:5. ~max_batch:8 in
+  let cluster, pages = two_nodes ~config faults in
+  Injector.set_armed faults false;
+  let txn = Cluster.begin_txn cluster ~node:0 in
+  update_all cluster ~txn [ List.hd pages ];
+  Cluster.commit cluster ~txn;
+  Injector.set_armed faults true;
+  ignore (Cluster.pump_group_commit cluster ~idle:true);
+  cluster
+
+let checkpoint faults =
+  let cluster, pages = two_nodes faults in
+  let txn = Cluster.begin_txn cluster ~node:0 in
+  update_all cluster ~txn pages;
+  attempt (fun () -> Cluster.checkpoint cluster ~node:0);
+  cluster
+
+let eviction faults =
+  let cluster, pages = two_nodes faults in
+  let txn = Cluster.begin_txn cluster ~node:1 in
+  attempt (fun () -> update_all cluster ~txn pages);
+  cluster
+
+let abort faults =
+  let cluster, pages = two_nodes faults in
+  let txn = Cluster.begin_txn cluster ~node:0 in
+  update_all cluster ~txn pages;
+  attempt (fun () -> Cluster.abort cluster ~txn);
+  cluster
+
+(* A crash of owner 0 that recovery must repair from the logs: 16
+   committed updates to redo (no live copy survives, see
+   [seed_workload]) and a loser to undo.  The loser's record is durable
+   because node 0's own commit forces the log after it. *)
+let crash_and_recover faults =
+  let cluster =
+    Cluster.create ~trace:true ~seed:29 ~faults ~nodes:4 (Config.with_page_size Config.default 512)
+  in
+  let pages = Cluster.allocate_pages cluster ~owner:0 ~count:5 in
+  let loser = Cluster.begin_txn cluster ~node:0 in
+  update_all cluster ~txn:loser [ List.nth pages 4 ];
+  seed_workload cluster (List.filteri (fun i _ -> i < 4) pages);
+  Cluster.crash cluster ~node:0;
+  recover_until_done cluster;
+  Cluster.check_invariants cluster;
+  cluster
+
+let workloads =
+  [
+    (Fault_plan.Commit_force, "commit", commit);
+    (Fault_plan.Commit_force, "group-commit batch force", batch_force);
+    (Fault_plan.Checkpoint, "checkpoint", checkpoint);
+    (Fault_plan.Page_ship, "eviction", eviction);
+    (Fault_plan.Rollback, "abort", abort);
+  ]
+  @ List.filter_map
+      (fun p ->
+        if Fault_plan.is_recovery p then Some (p, "crash and recovery", crash_and_recover)
+        else None)
+      Fault_plan.points
+
+let crashes cluster =
+  let obs = Env.obs (Cluster.env cluster) in
+  Alcotest.(check int) "event ring did not overflow" 0 (Recorder.dropped obs);
+  List.filter_map
+    (fun (e : Event.t) ->
+      match (e.Event.kind, List.assoc_opt "point" e.Event.attrs) with
+      | Event.Fault_crash, Some (Event.Str name) -> Some name
+      | _ -> None)
+    (Recorder.events obs)
+
+let test_every_point_fires () =
+  List.iter
+    (fun point ->
+      let name = Fault_plan.point_name point in
+      match List.filter (fun (p, _, _) -> p = point) workloads with
+      | [] -> Alcotest.failf "crash point %s: no workload reaches it" name
+      | ws ->
+        List.iter
+          (fun (_, what, run) ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s under %s" name what)
+              [ name ]
+              (crashes (run (arm_only point))))
+          ws)
+    Fault_plan.points
+
 (* ---- Regression seeds ---- *)
 
 (* Full randomized stress iterations under the recovery fault class,
@@ -288,5 +408,6 @@ let suite =
     ( "deferred pages complete on peer restart",
       `Quick,
       test_deferred_pages_complete_on_peer_restart );
+    ("every crash point fires exactly once", `Quick, test_every_point_fires);
     ("regression seeds (recovery fault class)", `Slow, test_regression_seeds);
   ]
